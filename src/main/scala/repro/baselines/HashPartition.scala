@@ -1,17 +1,12 @@
 package repro.baselines
 
+import repro.SplitMix.mix
+
 /** The trivial stateless baseline: hash the vertex id into one of k parts
   * (Giraph's default strategy). Near-perfect balance on every weight in
   * expectation; edge locality ≈ 1/k.
   */
 object HashPartition {
-
-  private def mix(seed: Long, i: Long): Long = {
-    var z = seed + i * 0x9E3779B97F4A7C15L
-    z = (z ^ (z >>> 30)) * 0xBF58476D1CE4E5B9L
-    z = (z ^ (z >>> 27)) * 0x94D049BB133111EBL
-    z ^ (z >>> 31)
-  }
 
   /** Assignment for vertices 0..n-1. */
   def partition(n: Int, k: Int, seed: Long = 17): Array[Int] =

@@ -20,13 +20,22 @@ object Weights {
   /** All specs in the fixed order used by the 4-dim experiment. */
   val All: Seq[String] = Seq(Unit, Degree, SqrtDegree, DegreeSquared)
 
-  /** Local weight vector for one spec. */
-  def local(g: LocalGraph, spec: String): Array[Double] = spec match {
-    case Unit          => Array.fill(g.n)(1.0)
-    case Degree        => Array.tabulate(g.n)(v => g.degree(v).toDouble)
-    case SqrtDegree    => Array.tabulate(g.n)(v => math.sqrt(g.degree(v).toDouble))
-    case DegreeSquared => Array.tabulate(g.n)(v => { val d = g.degree(v).toDouble; d * d })
+  /** Weight of a vertex of the given degree under one spec. Throws
+    * IllegalArgumentException for an unknown spec when called, not when
+    * the returned function is applied.
+    */
+  def ofDegree(spec: String): Int => Double = spec match {
+    case Unit          => _ => 1.0
+    case Degree        => deg => deg.toDouble
+    case SqrtDegree    => deg => math.sqrt(deg.toDouble)
+    case DegreeSquared => deg => { val d = deg.toDouble; d * d }
     case other         => throw new IllegalArgumentException(s"unknown weight spec: $other")
+  }
+
+  /** Local weight vector for one spec. */
+  def local(g: LocalGraph, spec: String): Array[Double] = {
+    val w = ofDegree(spec)
+    Array.tabulate(g.n)(v => w(g.degree(v)))
   }
 
   /** Local weight matrix (d rows of length n) for a list of specs. */
@@ -35,7 +44,9 @@ object Weights {
 
   /** DataFrame (id, w0, w1, ...) for the given specs over the vertices of
     * the canonical edge list. Isolated vertices do not appear in the edge
-    * list and are excluded, matching the local path.
+    * list and are excluded, matching the local path. Written in Spark SQL
+    * so tests can check it against DuckDB; the distributed GD builds its
+    * weight rows with [[ofDegree]].
     */
   def weightsDF(spark: SparkSession, edges: DataFrame, specs: Seq[String]): DataFrame = {
     val deg = GraphOps.degrees(edges)

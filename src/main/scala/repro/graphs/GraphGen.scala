@@ -1,6 +1,7 @@
 package repro.graphs
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.SplitMix.mix
 import scala.util.Random
 
 /** Deterministic synthetic graph generators.
@@ -28,13 +29,6 @@ object GraphGen {
       bit += 1
     }
     (u, v)
-  }
-
-  private def mix(seed: Long, i: Long): Long = {
-    var z = seed + i * 0x9E3779B97F4A7C15L
-    z = (z ^ (z >>> 30)) * 0xBF58476D1CE4E5B9L
-    z = (z ^ (z >>> 27)) * 0x94D049BB133111EBL
-    z ^ (z >>> 31)
   }
 
   /** Distributed RMAT: `2^scale` vertices, `edgeFactor * 2^scale` edge draws,

@@ -1,12 +1,14 @@
 package repro.core
 
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.ListenerBusDrain
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.graphs.{GraphGen, GraphOps}
 
-/** Distributed GD: balance, quality, and agreement with the in-core
-  * reference. Kept to small graphs + modest iteration counts — each GD
-  * iteration is a Spark job sequence.
+/** Distributed GD: balance, quality, agreement with the in-core reference,
+  * and the number of Spark jobs a GD iteration costs.
   */
 class DistGDSpec extends SparkSpec {
 
@@ -42,6 +44,32 @@ class DistGDSpec extends SparkSpec {
       cfg.copy(iterations = 100))
     assert(dist.locality > local.locality - 0.15,
       s"dist ${dist.locality} vs local ${local.locality}")
+    edges.unpersist()
+  }
+
+  test("each GD iteration costs at most two Spark jobs") {
+    val g = GraphGen.plantedBisection(60, 0.2, 0.02, seed = 46)
+    val edges = GraphGen.toDF(spark, g).persist()
+    val sc = spark.sparkContext
+    // Without vertex fixing every run uses its whole iteration budget.
+    def run(iterations: Int): (Int, Int) = {
+      val jobs = new AtomicInteger
+      val listener = new SparkListener {
+        override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+      }
+      sc.addSparkListener(listener)
+      try {
+        val res = DistGD.bipartition(spark, edges, Seq(Weights.Unit),
+          cfg.copy(iterations = iterations, vertexFixing = false))
+        ListenerBusDrain(sc)
+        res.assign.unpersist()
+        (jobs.get, res.iterations)
+      } finally sc.removeSparkListener(listener)
+    }
+    val (jobs10, iters10) = run(10)
+    val (jobs20, iters20) = run(20)
+    assert(iters10 == 10 && iters20 == 20)
+    assert(jobs20 - jobs10 <= 2 * (iters20 - iters10), s"$jobs10 jobs for I = 10, $jobs20 for I = 20")
     edges.unpersist()
   }
 
