@@ -1,7 +1,6 @@
 package repro.baselines
 
 import repro.graphs.LocalGraph
-import scala.util.Random
 
 /** Social Hash Partitioner baseline (Kabiljo et al., VLDB'17), per the
   * paper's §4 description: a Kernighan–Lin-style local search that balances
@@ -18,14 +17,12 @@ final case class SHPConfig(
     edgeCoeff: Double = 1.0,
     vertexCoeff: Double = 0.1,
     iterations: Int = 20,
-    seed: Long = 31,
 )
 
 object SHP {
 
   def partition(g: LocalGraph, k: Int, cfg: SHPConfig = SHPConfig()): Array[Int] = {
     val n = g.n
-    val rng = new Random(cfg.seed)
     val cw = Array.tabulate(n)(v => cfg.edgeCoeff * g.degree(v) + cfg.vertexCoeff)
 
     // Initial combined-balanced assignment: sort by combined weight
@@ -79,8 +76,6 @@ object SHP {
           if (wPQ <= wQP) { val (v, _) = pq(i); flips += v; wPQ += cw(v); i += 1 }
           else { val (v, _) = qp(j); flips += v; wQP += cw(v); j += 1 }
         }
-        // Drop the trailing unmatched side if it would skew balance by more
-        // than the lightest vertex involved.
         flips.result().foreach { v =>
           val from = part(v)
           val to = if (from == p) q else p
@@ -90,10 +85,6 @@ object SHP {
         }
       }
       if (moved == 0) it = cfg.iterations
-      else {
-        // Small random tie-break jitter between rounds for symmetry breaking.
-        rng.nextInt()
-      }
       it += 1
     }
     part

@@ -4,36 +4,24 @@ import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.SplitMix.mix
 import repro.graphs.GraphOps
 import scala.collection.mutable.ArrayBuffer
 import scala.reflect.ClassTag
 
-/** Distributed implementation of the paper's GD algorithm on partition-local
-  * CSR blocks, the vertex-cut routing layout of GraphX (Gonzalez et al.,
-  * OSDI'14).
+/** Distributed executor of [[GDKernel]] on partition-local CSR blocks, the
+  * vertex-cut routing layout of GraphX (Gonzalez et al., OSDI'14).
   *
   * Each call hash-partitions the symmetrized edge list by source into
   * `spark.sql.shuffle.partitions` blocks, once. A block holds its sorted
   * vertex ids, their d weight rows and a CSR adjacency over global neighbour
-  * ids (see [[Block]]). Per-vertex state (`x`, `fixed`, and the previous `x`
-  * and `fixed`) stays aligned with the blocks through `zipPartitions`, so a
-  * GD iteration is one Spark job:
-  *
-  *  1. every block sums `z` over its edges into one message batch per
-  *     destination block (the map-side combine) and the shuffle delivers
-  *     the batches, whose sums make `grad = A·z` — the `O(|E|/m)` mat-vec of
-  *     Theorem 1.1;
-  *  2. one reduction returns, over free vertices, `‖grad‖²`,
-  *     `S_j = ⟨w_j, z⟩`, `T_j = ⟨w_j, grad⟩` and the Gram matrix
-  *     `G_{jl} = ⟨w_j, w_l⟩`, over fixed vertices `F_j = ⟨w_j, x⟩`, and the
-  *     previous step's squared length and free count. γ is first used after
-  *     this pass, so adapting it from the previous step here leaves its
-  *     sequence as if the step length were measured right after the step;
-  *  3. the "one-shot alternating" projection (the paper's default for
-  *     distributed runs, §3.1) is a closed-form driver-side solve for the
-  *     plane coefficients `α_1..α_d`, and the x-update is a lazy narrow map
-  *     that the next job runs.
+  * ids (see [[Block]]). Per-vertex state (`x`, `fixed`, and the squared
+  * length of the step that produced them) stays aligned with the blocks
+  * through `zipPartitions`, so a GD iteration is one Spark job: every block
+  * sums `z` over its edges into one message batch per destination block
+  * (the map-side combine), the shuffle delivers the batches, whose sums
+  * make `grad = A·z` — the `O(|E|/m)` mat-vec of Theorem 1.1 — and one
+  * reduction returns the kernel's step statistics. The step itself is a
+  * lazy narrow map that the next job runs.
   *
   * Why RDDs: a DataFrame loop ran about ten jobs per iteration. Even with
   * the state co-partitioned with the edges and one checkpoint fewer, it ran
@@ -47,9 +35,6 @@ import scala.reflect.ClassTag
   * arrays of them, and Kryo fails on Java 17 unless the JVM is started with
   * `--add-opens`. A case class value keeps the shuffle on the Java
   * serializer.
-  *
-  * Noise and rounding draws are deterministic functions of `(seed, id)` so
-  * runs are reproducible across partitionings of the data.
   */
 object DistGD {
 
@@ -79,22 +64,13 @@ object DistGD {
   /** Sums of `z` over the neighbours of `ids`, from block `from`. */
   private final case class Messages(from: Int, ids: Array[Long], sums: Array[Double])
 
-  /** Per-vertex state of one block, aligned with its ids. */
-  private final case class State(x: Array[Double], fixed: Array[Boolean],
-                                 xPrev: Array[Double], fixedPrev: Array[Boolean])
+  /** Per-vertex state of one block, aligned with its ids, and the squared
+    * length of the block's part of the step that produced it.
+    */
+  private final case class State(x: Array[Double], fixed: Array[Boolean], stepSq: Double)
 
   /** One iteration of a block: its state, the point `z` and `grad = A·z`. */
   private final case class Step(s: State, z: Array[Double], grad: Array[Double])
-
-  /** Deterministic standard normal from (seed, id). */
-  private def gauss(seed: Long, id: Long): Double =
-    new java.util.Random(mix(seed, id)).nextGaussian()
-
-  /** Deterministic uniform [0,1) from (seed, id). */
-  private def unif(seed: Long, id: Long): Double =
-    new java.util.Random(mix(seed, id)).nextDouble()
-
-  private def clip(v: Double): Double = math.min(1.0, math.max(-1.0, v))
 
   /** Balanced 2-partition of the canonical edge list under the named weight
     * specs (see [[Weights]]). Only the one-shot alternating projection is
@@ -105,7 +81,6 @@ object DistGD {
                   cfg: GDConfig): Result = {
     require(cfg.projection == ProjectionMethod.OneShot,
       "DistGD implements the paper's distributed default (one-shot alternating)")
-    val d = specs.length
     val weightOf = specs.map(Weights.ofDegree)
     val part = new HashPartitioner(spark.conf.get("spark.sql.shuffle.partitions").toInt)
     val blocks = buildBlocks(edges, weightOf, part).persist()
@@ -122,107 +97,88 @@ object DistGD {
     val totals = sumUp(blocks.map(b => b.ids.length.toDouble +: b.w.map(_.sum)))
     val n = totals(0).toLong
     val W = totals.tail
-
-    val targetLen = cfg.stepFactor * math.sqrt(n.toDouble) / cfg.iterations
-    val sigma = targetLen / math.sqrt(n.toDouble)
-    var gamma = -1.0
-
-    var state: RDD[State] = blocks.map { b =>
-      val m = b.ids.length
-      State(new Array[Double](m), new Array[Boolean](m), new Array[Double](m), new Array[Boolean](m))
-    }
-    var t = 0
-    var freeCount = n
-    while (t < cfg.iterations && freeCount > 0) {
-      val noise = if (t == 0) sigma else 0.0
-      val seed = cfg.seed
-      def point(b: Block, s: State): Array[Double] =
-        if (noise == 0.0) s.x
-        else Array.tabulate(b.ids.length)(i => s.x(i) + noise * gauss(seed, b.ids(i)))
-      val messages = gather(blocks.zipPartitions(state)((bs, ss) => {
-        val b = bs.next()
-        sendSums(b, point(b, ss.next()))
-      }), part)
-      val step = keep(blocks.zipPartitions(state, messages)((bs, ss, ms) => {
-        val b = bs.next(); val s = ss.next()
-        Iterator(Step(s, point(b, s), gradient(b, ms)))
-      }))
-      val v = sumUp(blocks.zipPartitions(step)((bs, ps) => Iterator(stepStats(bs.next(), ps.next()))))
-      releaseAllBut(step)
-
-      // v = ‖grad‖², S, T, Gram (upper triangle), F, previous step², free.
-      val gram = unpackGram(v, 1 + 2 * d, d)
-      val g = 1 + 2 * d + d * (d + 1) / 2
-      if (t > 0) {
-        val actual = math.sqrt(v(g + d))
-        freeCount = v(g + d + 1).toLong
-        if (cfg.adaptiveStep && actual > 1e-12)
-          gamma *= math.min(2.0, math.max(0.5, targetLen / actual))
+    var state: RDD[State] = keep(blocks.map(b =>
+      State(new Array[Double](b.ids.length), new Array[Boolean](b.ids.length), 0.0)))
+    var current: RDD[Step] = null
+    val iterations = GDKernel.run(new GDKernel.Blocks {
+      // Closures below capture only local values: this object is not serializable.
+      def stepStats(noise: Double): Array[Double] = {
+        val seed = cfg.seed
+        val point = (b: Block, s: State) =>
+          if (noise == 0.0) s.x
+          else Array.tabulate(b.ids.length)(i => s.x(i) + noise * GDKernel.gauss(seed, b.ids(i)))
+        val messages = gather(blocks.zipPartitions(state)((bs, ss) => {
+          val b = bs.next()
+          sendSums(b, point(b, ss.next()))
+        }), part)
+        current = keep(blocks.zipPartitions(state, messages)((bs, ss, ms) => {
+          val b = bs.next(); val s = ss.next()
+          Iterator(Step(s, point(b, s), gradient(b, ms)))
+        }))
+        val v = sumUp(perBlock(blocks, current)((b, p) =>
+          GDKernel.stats(b.w, p.s.x, p.s.fixed, p.z, p.grad, p.s.stepSq)))
+        releaseAllBut(current)
+        state = keep(current.map(_.s))
+        v
       }
-      state =
-        if (freeCount == 0) step.map(_.s)
-        else {
-          if (gamma <= 0) gamma = targetLen / math.max(math.sqrt(v(0)), 1e-12)
-          // Sequential plane projections in closed form: y = z + γ·grad, then
-          // y ← y − α_j·w_j for each plane ⟨w_j, y⟩ = −F_j in turn.
-          val g0 = gamma
-          val sy = Array.tabulate(d)(j => v(1 + j) + g0 * v(1 + d + j))
-          val alpha = planeCoefficients(sy, v.slice(g, g + d), gram)
-          val fixing = cfg.vertexFixing
-          val threshold = cfg.fixThreshold
-          t += 1
-          blocks.zipPartitions(step)((bs, ps) =>
-            Iterator(update(bs.next(), ps.next(), g0, alpha, fixing, threshold)))
-        }
-    }
 
-    // Final until-convergence alternating projection on the free vertices.
-    var cur = keep(state)
-    var pass = 0
-    var feasible = false
-    while (pass < 60 && !feasible) {
-      // v = Σ w_j·x over all vertices, S over free ones, Gram over free ones.
-      val v = sumUp(blocks.zipPartitions(cur)((bs, ss) => Iterator(slabStats(bs.next(), ss.next()))))
-      releaseAllBut(cur)
-      val tot = v.take(d)
-      feasible = (0 until d).forall(j => math.abs(tot(j)) <= cfg.eps * W(j) + 1e-9 * (1 + W(j)))
-      if (!feasible) {
-        val s = v.slice(d, 2 * d)
-        val alpha = planeCoefficients(s, Array.tabulate(d)(j => tot(j) - s(j)), unpackGram(v, 2 * d, d))
-        cur = keep(blocks.zipPartitions(cur)((bs, ss) => Iterator(shift(bs.next(), ss.next(), alpha))))
+      def step(gamma: Double, alpha: Array[Double]): Unit = {
+        val fixAt = GDKernel.fixAt(cfg)
+        state = keep(perBlock(blocks, current) { (b, p) =>
+          val x = new Array[Double](b.ids.length)
+          val fixed = new Array[Boolean](b.ids.length)
+          State(x, fixed, GDKernel.step(b.w, p.s.x, p.s.fixed, p.z, p.grad, gamma, alpha, fixAt, x, fixed))
+        })
       }
-      pass += 1
-    }
 
-    // Randomized rounding (deterministic per (seed, id)) + driver-side repair.
-    val roundSeed = cfg.seed * 31 + 7
-    val sided = blocks.zipPartitions(cur)((bs, ss) => {
-      val b = bs.next(); val s = ss.next()
-      Iterator(Array.tabulate(b.ids.length) { i =>
-        val x = s.x(i)
-        if (s.fixed(i) || math.abs(x) >= 1.0 - 1e-12) { if (x >= 0) 1 else 0 }
-        else if (unif(roundSeed, b.ids(i)) < (x + 1.0) / 2.0) 1
-        else 0
-      })
-    })
-    val sums = sumUp(blocks.zipPartitions(sided)((bs, ps) => {
-      val b = bs.next(); val p = ps.next()
-      Iterator(b.w.map(w => w.indices.foldLeft(0.0)((acc, i) => acc + w(i) * (p(i) * 2 - 1))))
-    }))
-    val flips = repair(blocks, cur, sided, sums, W, cfg.eps)
+      def slabStats(): Array[Double] = {
+        val v = sumUp(perBlock(blocks, state)((b, s) => GDKernel.slabStats(b.w, s.x, s.fixed)))
+        releaseAllBut(state)
+        v
+      }
+
+      def shift(alpha: Array[Double]): Unit =
+        state = keep(perBlock(blocks, state) { (b, s) =>
+          val x = new Array[Double](b.ids.length)
+          GDKernel.shift(b.w, s.x, s.fixed, alpha, x)
+          s.copy(x = x)
+        })
+    }, n, W, cfg)
+
+    val sided = perBlock(blocks, state)((b, s) =>
+      Array.tabulate(b.ids.length)(i => GDKernel.side(cfg.seed, b.ids(i), s.x(i), s.fixed(i))))
+    val sums = sumUp(perBlock(blocks, sided)((b, p) => GDKernel.sideSums(b.w, p)))
+    // Each repair sweep pulls the 50k least confident vertices of the heavy
+    // side to the driver.
+    val flips = scala.collection.mutable.Set.empty[Long]
+    def candidates(heavy: Int): Iterator[(Long, Array[Double])] = {
+      val flipped = flips.toSet
+      blocks.zipPartitions(state, sided)((bs, ss, ps) => {
+        val b = bs.next(); val st = ss.next(); val p = ps.next()
+        b.ids.indices.iterator.filter(i => (p(i) == heavy) != flipped(b.ids(i)))
+          .map(i => (math.abs(st.x(i)), b.ids(i), b.w.map(_(i))))
+      }).takeOrdered(50000)(Ordering.by[(Double, Long, Array[Double]), (Double, Long)](c => (c._1, c._2))(
+        Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.Long)))
+        .iterator.map(c => (c._2, c._3))
+    }
+    GDKernel.repair(sums, W, cfg.eps, candidates, id => if (!flips.remove(id)) flips += id)
 
     import spark.implicits._
+    val flipped = flips.toSet
     val assign = blocks.zipPartitions(sided)((bs, ps) => {
       val b = bs.next(); val p = ps.next()
-      b.ids.iterator.zip(p.iterator).map { case (id, side) => (id, if (flips(id)) 1 - side else side) }
+      b.ids.iterator.zip(p.iterator).map { case (id, side) => (id, if (flipped(id)) 1 - side else side) }
     }).toDF("id", "part").persist()
     assign.count()
     releaseAllBut(null)
     blocks.unpersist()
     val locality = GraphOps.edgeLocality(edges, assign)
-    val imb = Array.tabulate(d)(j => if (W(j) > 0) math.abs(sums(j)) / W(j) else 0.0)
-    Result(assign, locality, imb, t)
+    Result(assign, locality, GDKernel.imbalances(sums, W), iterations)
   }
+
+  /** `f` on each block and the element of `rdd` aligned with it. */
+  private def perBlock[T: ClassTag, U: ClassTag](blocks: RDD[Block], rdd: RDD[T])(f: (Block, T) => U): RDD[U] =
+    blocks.zipPartitions(rdd)((bs, ts) => Iterator(f(bs.next(), ts.next())))
 
   /** The blocks of the symmetrized edge list, hash-partitioned by source. */
   private def buildBlocks(edges: DataFrame, weightOf: Seq[Int => Double],
@@ -319,140 +275,6 @@ object DistGD {
     for (m <- batches.toSeq.sortBy(_.from); k <- m.ids.indices)
       grad(java.util.Arrays.binarySearch(b.ids, m.ids(k))) += m.sums(k)
     grad
-  }
-
-  /** ‖grad‖², S, T, Gram upper triangle (free), F (fixed), then the squared
-    * length and free count of the step that produced this state.
-    */
-  private def stepStats(b: Block, p: Step): Array[Double] = {
-    val d = b.w.length
-    val g = 1 + 2 * d + d * (d + 1) / 2
-    val v = new Array[Double](g + d + 2)
-    val s = p.s
-    for (i <- b.ids.indices) {
-      if (!s.fixed(i)) {
-        v(0) += p.grad(i) * p.grad(i)
-        var k = 1 + 2 * d
-        for (j <- 0 until d) {
-          v(1 + j) += b.w(j)(i) * p.z(i)
-          v(1 + d + j) += b.w(j)(i) * p.grad(i)
-          for (l <- j until d) { v(k) += b.w(j)(i) * b.w(l)(i); k += 1 }
-        }
-        v(g + d + 1) += 1
-      } else {
-        for (j <- 0 until d) v(g + j) += b.w(j)(i) * s.x(i)
-      }
-      if (!s.fixedPrev(i)) { val dx = s.x(i) - s.xPrev(i); v(g + d) += dx * dx }
-    }
-    v
-  }
-
-  /** Σ w_j·x over all vertices, S over free vertices, Gram over free vertices. */
-  private def slabStats(b: Block, s: State): Array[Double] = {
-    val d = b.w.length
-    val v = new Array[Double](2 * d + d * (d + 1) / 2)
-    for (i <- b.ids.indices) {
-      var k = 2 * d
-      for (j <- 0 until d) {
-        v(j) += b.w(j)(i) * s.x(i)
-        if (!s.fixed(i)) {
-          v(d + j) += b.w(j)(i) * s.x(i)
-          for (l <- j until d) { v(k) += b.w(j)(i) * b.w(l)(i); k += 1 }
-        }
-      }
-    }
-    v
-  }
-
-  /** The symmetric d×d Gram matrix from its upper triangle at `v(from)`. */
-  private def unpackGram(v: Array[Double], from: Int, d: Int): Array[Array[Double]] = {
-    val gram = Array.ofDim[Double](d, d)
-    var k = from
-    for (j <- 0 until d; l <- j until d) { gram(j)(l) = v(k); gram(l)(j) = v(k); k += 1 }
-    gram
-  }
-
-  /** Coefficients of the sequential plane projections y ← y − α_j·w_j onto
-    * ⟨w_j, y⟩ = −F_j, given `sy(j) = ⟨w_j, y⟩` over free vertices.
-    */
-  private def planeCoefficients(sy: Array[Double], f: Array[Double],
-                                gram: Array[Array[Double]]): Array[Double] = {
-    val d = sy.length
-    val y = sy.clone()
-    val alpha = new Array[Double](d)
-    for (j <- 0 until d) {
-      alpha(j) = if (gram(j)(j) > 0) (y(j) + f(j)) / gram(j)(j) else 0.0
-      for (l <- j + 1 until d) y(l) -= alpha(j) * gram(j)(l)
-    }
-    alpha
-  }
-
-  /** Σ_j α_j·w_j(i). */
-  private def planeShift(b: Block, alpha: Array[Double], i: Int): Double = {
-    var shift = alpha(0) * b.w(0)(i)
-    for (j <- 1 until alpha.length) shift += alpha(j) * b.w(j)(i)
-    shift
-  }
-
-  /** The gradient step, plane shift, box clip and vertex fixing of one block. */
-  private def update(b: Block, p: Step, gamma: Double, alpha: Array[Double],
-                     fixing: Boolean, threshold: Double): State = {
-    val s = p.s
-    val x = new Array[Double](b.ids.length)
-    val fixed = new Array[Boolean](b.ids.length)
-    for (i <- b.ids.indices) {
-      if (s.fixed(i)) { x(i) = s.x(i); fixed(i) = true }
-      else {
-        val xi = clip(p.z(i) + gamma * p.grad(i) - planeShift(b, alpha, i))
-        if (fixing && math.abs(xi) >= threshold) { fixed(i) = true; x(i) = if (xi >= 0) 1.0 else -1.0 }
-        else x(i) = xi
-      }
-    }
-    State(x, fixed, s.x, s.fixed)
-  }
-
-  /** One alternating-projection pass over the free vertices of a block. */
-  private def shift(b: Block, s: State, alpha: Array[Double]): State =
-    s.copy(x = Array.tabulate(b.ids.length)(i =>
-      if (s.fixed(i)) s.x(i) else clip(s.x(i) - planeShift(b, alpha, i))))
-
-  /** Bounded driver-side balance repair: if a dimension is outside ε, pull
-    * the least-confident vertices of the heavy side to the driver and flip
-    * greedily (mirror of [[Rounding.repair]]). Updates the per-dimension
-    * sums `s` in place and returns the ids to flip.
-    */
-  private def repair(blocks: RDD[Block], state: RDD[State], sided: RDD[Array[Int]],
-                     s: Array[Double], W: Array[Double], eps: Double): Set[Long] = {
-    val d = s.length
-    def violated = (0 until d).exists(j => math.abs(s(j)) > eps * W(j))
-    if (!violated) return Set.empty
-
-    val jWorst = (0 until d).maxBy(j => if (W(j) > 0) math.abs(s(j)) / W(j) - eps else 0.0)
-    val heavy = if (s(jWorst) > 0) 1 else 0
-    // Least confident first; ties in |x| go to the smaller id.
-    val cand = blocks.zipPartitions(state, sided)((bs, ss, ps) => {
-      val b = bs.next(); val st = ss.next(); val p = ps.next()
-      b.ids.indices.iterator.filter(p(_) == heavy)
-        .map(i => (math.abs(st.x(i)), b.ids(i), b.w.map(_(i))))
-    }).takeOrdered(50000)(Ordering.by[(Double, Long, Array[Double]), (Double, Long)](c => (c._1, c._2))(
-      Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.Long)))
-    val flips = Set.newBuilder[Long]
-    val sign = 2 * heavy - 1
-    var i = 0
-    while (i < cand.length && violated) {
-      val (_, id, ws) = cand(i)
-      var before = 0.0; var after = 0.0
-      for (j <- 0 until d) {
-        before = math.max(before, math.abs(s(j)) - eps * W(j))
-        after = math.max(after, math.abs(s(j) - 2.0 * sign * ws(j)) - eps * W(j))
-      }
-      if (after < before) {
-        for (j <- 0 until d) s(j) -= 2.0 * sign * ws(j)
-        flips += id
-      }
-      i += 1
-    }
-    flips.result()
   }
 
   /** Recursive k-way distributed partitioning (k a power of two): filter the

@@ -1,0 +1,253 @@
+package repro.core
+
+import repro.SplitMix.mix
+
+/** Algorithm 1 of the paper with the practical choices of §3.2, once for
+  * both executors: noise at t = 0, the one-shot alternating projection,
+  * the adaptive step, vertex fixing, the final projection, randomized
+  * rounding and balance repair.
+  *
+  * The driver ([[run]]) sees the vertices only through [[Blocks]].
+  * [[LocalGD]] holds them as one block of arrays, [[DistGD]] as an RDD of
+  * blocks; both apply the per-block operations below, so they take the
+  * same steps and draws, up to the order in which sums are added.
+  *
+  * The one-shot projection is solved in closed form: projecting
+  * `y = z + γ·grad` onto the planes `⟨w_j, y⟩ = −F_j` one after another
+  * (the slab centres, shifted by the weight `F_j` of the fixed vertices)
+  * is `y ← y − Σ_j α_j·w_j` on the free vertices, with `α` from the sums
+  * over them `S_j = ⟨w_j, z⟩`, `T_j = ⟨w_j, grad⟩` and `G_jl = ⟨w_j, w_l⟩`.
+  */
+object GDKernel {
+
+  /** The vertices of one run, in blocks. Each call is one pass over every
+    * block; statistics are summed over the blocks.
+    */
+  trait Blocks {
+    /** Sets `z = x + noise·`[[gauss]] and `grad = A·z`; returns [[stats]]. */
+    def stepStats(noise: Double): Array[Double]
+    /** [[step]] from the last `z` and `grad`. */
+    def step(gamma: Double, alpha: Array[Double]): Unit
+    /** [[stats]] of `x` itself, with a zero gradient. */
+    def slabStats(): Array[Double]
+    /** [[step]] from `x` with a zero gradient and no fixing: one
+      * alternating-projection pass.
+      */
+    def shift(alpha: Array[Double]): Unit
+  }
+
+  private def gramAt(d: Int): Int = 1 + 2 * d
+  private def fixedAt(d: Int): Int = gramAt(d) + d * (d + 1) / 2
+  private def freeAt(d: Int): Int = fixedAt(d) + d
+
+  /** `F_j`, the weight of the fixed vertices, from a [[stats]] vector. */
+  def fixedWeight(v: Array[Double], d: Int): Array[Double] = v.slice(fixedAt(d), fixedAt(d) + d)
+
+  /** `|x| ≥ fixAt` fixes a vertex. */
+  def fixAt(cfg: GDConfig): Double = if (cfg.vertexFixing) cfg.fixThreshold else Double.PositiveInfinity
+
+  /** Standard normal draw of vertex `id`: its noise at t = 0. */
+  def gauss(seed: Long, id: Long): Double = new java.util.Random(mix(seed, id)).nextGaussian()
+
+  /** Randomized rounding (§3.1): side 1 with probability `(x + 1)/2`, drawn
+    * from `(seed, id)`; a fixed or integral vertex takes its sign.
+    */
+  def side(seed: Long, id: Long, x: Double, fixed: Boolean): Int =
+    if (fixed || math.abs(x) >= 1.0 - 1e-12) { if (x >= 0) 1 else 0 }
+    else if (new java.util.Random(mix(seed * 31 + 7, id)).nextDouble() < (x + 1.0) / 2.0) 1
+    else 0
+
+  // ---- Per-block operations ----
+
+  /** Over free vertices `‖grad‖²`, `S`, `T` and the Gram upper triangle,
+    * over fixed vertices `F`, then the free count and `stepSq`, the squared
+    * length of the step that produced `x`.
+    */
+  def stats(w: Array[Array[Double]], x: Array[Double], fixed: Array[Boolean],
+            z: Array[Double], grad: Array[Double], stepSq: Double): Array[Double] = {
+    val d = w.length
+    val f = fixedAt(d)
+    val v = new Array[Double](freeAt(d) + 2)
+    var i = 0
+    while (i < x.length) {
+      var j = 0
+      if (fixed(i)) {
+        while (j < d) { v(f + j) += w(j)(i) * x(i); j += 1 }
+      } else {
+        v(0) += grad(i) * grad(i)
+        var k = gramAt(d)
+        while (j < d) {
+          val wj = w(j)(i)
+          v(1 + j) += wj * z(i)
+          v(1 + d + j) += wj * grad(i)
+          var l = j
+          while (l < d) { v(k) += wj * w(l)(i); k += 1; l += 1 }
+          j += 1
+        }
+        v(f + d) += 1
+      }
+      i += 1
+    }
+    v(f + d + 1) = stepSq
+    v
+  }
+
+  /** [[stats]] of `x` with a zero gradient. */
+  def slabStats(w: Array[Array[Double]], x: Array[Double], fixed: Array[Boolean]): Array[Double] =
+    stats(w, x, fixed, x, new Array[Double](x.length), 0.0)
+
+  /** Moves every free vertex to `clip(z + γ·grad − Σ_j α_j·w_j)` and fixes
+    * it at its sign if `|x| ≥ fixAt`; fixed vertices stay. Writes `xOut`
+    * and `fixedOut`, which may be `x` and `fixed`. Returns the squared
+    * step length over the vertices that were free, measured before fixing.
+    */
+  def step(w: Array[Array[Double]], x: Array[Double], fixed: Array[Boolean],
+           z: Array[Double], grad: Array[Double], gamma: Double, alpha: Array[Double],
+           fixAt: Double, xOut: Array[Double], fixedOut: Array[Boolean]): Double = {
+    var sq = 0.0
+    var i = 0
+    while (i < x.length) {
+      if (fixed(i)) { xOut(i) = x(i); fixedOut(i) = true }
+      else {
+        var y = z(i) + gamma * grad(i)
+        var j = 0
+        while (j < alpha.length) { y -= alpha(j) * w(j)(i); j += 1 }
+        y = Projections.clip(y)
+        val dx = y - x(i)
+        sq += dx * dx
+        fixedOut(i) = math.abs(y) >= fixAt
+        xOut(i) = if (!fixedOut(i)) y else if (y >= 0) 1.0 else -1.0
+      }
+      i += 1
+    }
+    sq
+  }
+
+  /** [[step]] from `x` with a zero gradient and no fixing, so `fixed`
+    * keeps its values.
+    */
+  def shift(w: Array[Array[Double]], x: Array[Double], fixed: Array[Boolean],
+            alpha: Array[Double], xOut: Array[Double]): Unit =
+    step(w, x, fixed, x, x, 0.0, alpha, Double.PositiveInfinity, xOut, fixed)
+
+  /** `Σ_i w_j(i)·(2·side_i − 1)` per dimension. */
+  def sideSums(w: Array[Array[Double]], side: Array[Int]): Array[Double] = w.map { wj =>
+    var s = 0.0
+    var i = 0
+    while (i < side.length) { s += wj(i) * (2 * side(i) - 1); i += 1 }
+    s
+  }
+
+  /** `|s_j| / W_j` per dimension, 0 where `W_j = 0`. */
+  def imbalances(s: Array[Double], W: Array[Double]): Array[Double] =
+    Array.tabulate(s.length)(j => if (W(j) > 0) math.abs(s(j)) / W(j) else 0.0)
+
+  // ---- The driver ----
+
+  /** The GD iterations, then the final projection, on `n` vertices of
+    * total weights `W`; returns the number of iterations run. Up to
+    * `cfg.iterations` steps, ending early once every vertex is fixed. The
+    * length of step t − 1 comes back with the statistics of step t and
+    * adapts γ before γ is used again.
+    */
+  def run(b: Blocks, n: Long, W: Array[Double], cfg: GDConfig): Int = {
+    val d = W.length
+    val targetLen = cfg.stepFactor * math.sqrt(n.toDouble) / cfg.iterations
+    var gamma = -1.0
+    var t = 0
+    var anyFree = n > 0
+    while (t < cfg.iterations && anyFree) {
+      // Gaussian noise at the saddle x = 0 (η_t = 0 for t ≠ 0, §3.2).
+      val v = b.stepStats(if (t == 0) targetLen / math.sqrt(n.toDouble) else 0.0)
+      anyFree = v(freeAt(d)) > 0
+      if (anyFree) {
+        val actual = math.sqrt(v(freeAt(d) + 1))
+        if (t > 0 && cfg.adaptiveStep && actual > 1e-12)
+          gamma *= math.min(2.0, math.max(0.5, targetLen / actual))
+        if (gamma <= 0) gamma = targetLen / math.max(math.sqrt(v(0)), 1e-12)
+        b.step(gamma, planeCoefficients(v, d, gamma))
+        t += 1
+      }
+    }
+    finalProjection(b, W, cfg)
+    t
+  }
+
+  /** §3.1: "in the last iterations we run the alternating projections
+    * method until convergence", for at most `cfg.finalProjIters` passes.
+    * Stops once every slab holds (to `1e-9·(1 + W_j)`) or no vertex is
+    * free to move.
+    */
+  private[core] def finalProjection(b: Blocks, W: Array[Double], cfg: GDConfig): Unit = {
+    val d = W.length
+    var pass = 0
+    var done = false
+    while (pass < cfg.finalProjIters && !done) {
+      val v = b.slabStats()
+      done = v(freeAt(d)) == 0 || (0 until d).forall(j =>
+        math.abs(v(1 + j) + v(fixedAt(d) + j)) <= cfg.eps * W(j) + 1e-9 * (1 + W(j)))
+      if (!done) { b.shift(planeCoefficients(v, d, 0.0)); pass += 1 }
+    }
+  }
+
+  /** `α` of the sequential plane projections `y ← y − α_j·w_j` of
+    * `y = z + γ·grad` onto `⟨w_j, y⟩ = −F_j`, from a [[stats]] vector.
+    */
+  private def planeCoefficients(v: Array[Double], d: Int, gamma: Double): Array[Double] = {
+    val y = Array.tabulate(d)(j => v(1 + j) + gamma * v(1 + d + j))
+    val alpha = new Array[Double](d)
+    var k = gramAt(d) // the upper triangle by rows: G_jj, then G_jl for l > j
+    for (j <- 0 until d) {
+      alpha(j) = if (v(k) > 0) (y(j) + v(fixedAt(d) + j)) / v(k) else 0.0
+      for (l <- j + 1 until d) y(l) -= alpha(j) * v(k + l - j)
+      k += d - j
+    }
+    alpha
+  }
+
+  /** Greedy balance repair after rounding, at most `4·d` sweeps. A sweep
+    * takes the dimension j with the largest violation `|s_j| − εW_j` and
+    * walks the vertices on its heavy side, least confident first, flipping
+    * each one whose flip lowers the largest violation, until j holds.
+    *
+    * @param s          [[sideSums]] of the sides; updated
+    * @param candidates the vertices now on a side, as (id, weights), by
+    *                   `|x|` and then id
+    * @param flip       moves a vertex to the other side
+    */
+  def repair(s: Array[Double], W: Array[Double], eps: Double,
+             candidates: Int => Iterator[(Long, Array[Double])], flip: Long => Unit): Unit = {
+    val d = s.length
+    def violation(j: Int): Double = math.abs(s(j)) - eps * W(j)
+    var sweep = 0
+    var progress = true
+    while (progress && sweep < 4 * d) {
+      progress = false
+      val j = (0 until d).maxBy(violation)
+      if (violation(j) > 0) {
+        val heavy = if (s(j) > 0) 1 else 0
+        // Flipping a vertex changes s(l) by −2·sign·w_l.
+        val sign = 2 * heavy - 1
+        val it = candidates(heavy)
+        while (it.hasNext && violation(j) > 0) {
+          val (id, w) = it.next()
+          var before = 0.0
+          var after = 0.0
+          var l = 0
+          while (l < d) {
+            before = math.max(before, violation(l))
+            after = math.max(after, math.abs(s(l) - 2.0 * sign * w(l)) - eps * W(l))
+            l += 1
+          }
+          if (after < before) {
+            l = 0
+            while (l < d) { s(l) -= 2.0 * sign * w(l); l += 1 }
+            flip(id)
+            progress = true
+          }
+        }
+      }
+      sweep += 1
+    }
+  }
+}

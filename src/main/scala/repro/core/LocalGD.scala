@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.graphs.LocalGraph
-import scala.util.Random
+import scala.collection.mutable.ArrayBuffer
 
 /** Projection method used inside the GD iterations (paper §3.1). */
 sealed trait ProjectionMethod
@@ -50,18 +50,22 @@ final case class GDConfig(
   */
 final case class GDTraceRow(iter: Int, locality: Double, maxImbalance: Double)
 
-/** Output of a GD bipartition run. `side(i) ∈ {0, 1}`. */
+/** Output of a GD bipartition run. `side(i) ∈ {0, 1}`; `iterations` is
+  * the number of GD steps taken.
+  */
 final case class GDResult(
     x: Array[Double],
     side: Array[Int],
     locality: Double,
     imbalances: Array[Double],
     trace: Seq[GDTraceRow],
+    iterations: Int,
 )
 
-/** In-core reference implementation of the paper's GD algorithm
-  * (Algorithm 1 + §3.2). Used to cross-validate the distributed
-  * implementation and to run the many-configuration quality sweeps.
+/** In-core executor of [[GDKernel]]: one block of arrays indexed by vertex,
+  * with the mat-vec over the CSR graph. It also runs the projection methods
+  * other than one-shot, which only it supports. Used for the
+  * many-configuration quality sweeps and as the reference for [[DistGD]].
   */
 object LocalGD {
 
@@ -88,218 +92,82 @@ object LocalGD {
     require(cfg.projection != ProjectionMethod.Exact || d <= 2,
       "exact projection is implemented for d <= 2 only (as in the paper)")
     val W = ws.map(_.sum)
-    val rng = new Random(cfg.seed)
     val x = new Array[Double](n)
     val fixed = new Array[Boolean](n)
-    var freeCount = n
-    val targetLen = cfg.stepFactor * math.sqrt(n.toDouble) / cfg.iterations
-    val sigma = targetLen / math.sqrt(n.toDouble)
-    var gamma = -1.0
-    val traceRows = Seq.newBuilder[GDTraceRow]
+    val fixAt = GDKernel.fixAt(cfg)
+    val traceRows = ArrayBuffer.empty[GDTraceRow]
 
-    def freeIndices(): Array[Int] = {
-      val b = new Array[Int](freeCount)
-      var i = 0; var j = 0
-      while (i < n) { if (!fixed(i)) { b(j) = i; j += 1 }; i += 1 }
-      b
+    def imbalances(side: Array[Int]): Array[Double] = GDKernel.imbalances(GDKernel.sideSums(ws, side), W)
+
+    /** Locality and the largest imbalance of the sign rounding of x. */
+    def traceRow(t: Int): GDTraceRow = {
+      val signSide = x.map(v => if (v >= 0) 1 else 0)
+      GDTraceRow(t, g.edgeLocality(signSide), imbalances(signSide).max)
     }
 
-    /** Project the free subvector onto the (shifted) feasible region. */
-    def project(y: Array[Double]): Unit = {
-      val free = freeIndices()
-      if (free.isEmpty) return
-      val yF = free.map(y)
-      val wsF = ws.map(w => free.map(w))
-      val los = new Array[Double](d)
-      val his = new Array[Double](d)
-      var j = 0
-      while (j < d) {
-        var fj = 0.0
-        var i = 0
-        while (i < n) { if (fixed(i)) fj += ws(j)(i) * x(i); i += 1 }
-        los(j) = -cfg.eps * W(j) - fj
-        his(j) = cfg.eps * W(j) - fj
-        j += 1
-      }
-      val projected = cfg.projection match {
-        case ProjectionMethod.OneShot =>
-          val mids = Array.tabulate(d)(j => (los(j) + his(j)) / 2)
-          Projections.oneShotAlternating(yF, wsF, mids)
-        case ProjectionMethod.FullAlternating =>
-          Projections.alternating(yF, wsF, los, his, maxIter = 200)
-        case ProjectionMethod.Dykstra =>
-          Projections.dykstra(yF, wsF, los, his, maxIter = 300)
-        case ProjectionMethod.Exact =>
-          if (d == 1) Projections.exact1D(yF, wsF(0), los(0), his(0))
-          else Projections.exact2D(yF, wsF(0), wsF(1), los(0), his(0), los(1), his(1))
-      }
-      var i = 0
-      while (i < free.length) { x(free(i)) = projected(i); i += 1 }
-    }
+    val blocks = new GDKernel.Blocks {
+      private var z = x
+      private var grad = x
+      private var stepSq = 0.0
 
-    var t = 0
-    while (t < cfg.iterations && freeCount > 0) {
-      val z = x.clone()
-      if (t == 0) {
-        // Gaussian noise at the saddle x = 0 (η_t = 0 for t ≠ 0, §3.2).
-        var i = 0
-        while (i < n) { z(i) += rng.nextGaussian() * sigma; i += 1 }
+      def stepStats(noise: Double): Array[Double] = {
+        z = if (noise == 0.0) x else Array.tabulate(n)(i => x(i) + noise * GDKernel.gauss(cfg.seed, i))
+        grad = matvec(g, z)
+        GDKernel.stats(ws, x, fixed, z, grad, stepSq)
       }
-      val grad = matvec(g, z)
-      var gradNorm = 0.0
-      var i = 0
-      while (i < n) { if (!fixed(i)) gradNorm += grad(i) * grad(i); i += 1 }
-      gradNorm = math.sqrt(gradNorm)
-      if (gamma <= 0) gamma = targetLen / math.max(gradNorm, 1e-12)
-      val xPrev = x.clone()
-      val y = new Array[Double](n)
-      i = 0
-      while (i < n) {
-        y(i) = if (fixed(i)) x(i) else z(i) + gamma * grad(i)
-        i += 1
-      }
-      System.arraycopy(y, 0, x, 0, n)
-      project(x)
-      var actual = 0.0
-      i = 0
-      while (i < n) { if (!fixed(i)) { val dd = x(i) - xPrev(i); actual += dd * dd }; i += 1 }
-      actual = math.sqrt(actual)
-      if (cfg.adaptiveStep && actual > 1e-12) {
-        val ratio = targetLen / actual
-        gamma *= math.min(2.0, math.max(0.5, ratio))
-      }
-      if (cfg.vertexFixing) {
-        i = 0
-        while (i < n) {
-          if (!fixed(i) && math.abs(x(i)) >= cfg.fixThreshold) {
-            fixed(i) = true
-            x(i) = if (x(i) >= 0) 1.0 else -1.0
-            freeCount -= 1
+
+      def step(gamma: Double, alpha: Array[Double]): Unit = {
+        stepSq =
+          if (cfg.projection == ProjectionMethod.OneShot)
+            GDKernel.step(ws, x, fixed, z, grad, gamma, alpha, fixAt, x, fixed)
+          else {
+            // The projected point, taken as a step of length zero from it.
+            val p = project(gamma)
+            GDKernel.step(ws, x, fixed, p, p, 0.0, new Array[Double](d), fixAt, x, fixed)
           }
-          i += 1
+        if (cfg.trace) traceRows += traceRow(traceRows.length)
+      }
+
+      def slabStats(): Array[Double] = GDKernel.slabStats(ws, x, fixed)
+
+      def shift(alpha: Array[Double]): Unit = GDKernel.shift(ws, x, fixed, alpha, x)
+
+      /** `z + γ·grad` projected by `cfg.projection` onto the slabs shifted
+        * by the fixed vertices' weight. Fixed vertices get weight 0, so
+        * they stay at ±1 and the projection acts on the free ones only.
+        */
+      private def project(gamma: Double): Array[Double] = {
+        val y = Array.tabulate(n)(i => if (fixed(i)) x(i) else z(i) + gamma * grad(i))
+        val wsF = ws.map(w => Array.tabulate(n)(i => if (fixed(i)) 0.0 else w(i)))
+        val f = GDKernel.fixedWeight(GDKernel.slabStats(ws, x, fixed), d)
+        val los = Array.tabulate(d)(j => -cfg.eps * W(j) - f(j))
+        val his = Array.tabulate(d)(j => cfg.eps * W(j) - f(j))
+        cfg.projection match {
+          case ProjectionMethod.FullAlternating => Projections.alternating(y, wsF, los, his, maxIter = 200)
+          case ProjectionMethod.Dykstra => Projections.dykstra(y, wsF, los, his, maxIter = 300)
+          case _ =>
+            if (d == 1) Projections.exact1D(y, wsF(0), los(0), his(0))
+            else Projections.exact2D(y, wsF(0), wsF(1), los(0), his(0), los(1), his(1))
         }
       }
-      if (cfg.trace) {
-        val signSide = Array.tabulate(n)(i => if (x(i) >= 0) 1 else 0)
-        val loc = g.edgeLocality(signSide)
-        var worst = 0.0
-        var j = 0
-        while (j < d) {
-          var s = 0.0
-          var ii = 0
-          while (ii < n) { s += ws(j)(ii) * (2 * signSide(ii) - 1); ii += 1 }
-          if (W(j) > 0) worst = math.max(worst, math.abs(s) / W(j))
-          j += 1
-        }
-        traceRows += GDTraceRow(t, loc, worst)
-      }
-      t += 1
     }
 
-    // Final pass: run alternating projections until the slabs are satisfied
-    // (§3.1: "in the last iterations we run the alternating projections
-    // method until convergence").
-    if (freeCount > 0) {
-      val free = freeIndices()
-      val yF = free.map(x)
-      val wsF = ws.map(w => free.map(w))
-      val los = new Array[Double](d)
-      val his = new Array[Double](d)
-      var j = 0
-      while (j < d) {
-        var fj = 0.0
-        var i = 0
-        while (i < n) { if (fixed(i)) fj += ws(j)(i) * x(i); i += 1 }
-        los(j) = -cfg.eps * W(j) - fj
-        his(j) = cfg.eps * W(j) - fj
-        j += 1
-      }
-      val converged = Projections.alternating(yF, wsF, los, his, maxIter = cfg.finalProjIters)
-      var i = 0
-      while (i < free.length) { x(free(i)) = converged(i); i += 1 }
-    }
-
-    // Randomized rounding: P[i ∈ V₁] = (x_i + 1)/2, then greedy repair.
-    val side = new Array[Int](n)
-    var i = 0
-    while (i < n) {
-      side(i) =
-        if (fixed(i) || math.abs(x(i)) >= 1.0 - 1e-12) { if (x(i) >= 0) 1 else 0 }
-        else if (rng.nextDouble() < (x(i) + 1.0) / 2.0) 1
-        else 0
-      i += 1
-    }
+    val iterations = GDKernel.run(blocks, n, W, cfg)
+    val side = Array.tabulate(n)(i => GDKernel.side(cfg.seed, i, x(i), fixed(i)))
     Rounding.repair(side, x, ws, cfg.eps)
-
-    val imb = Array.tabulate(d) { j =>
-      var s = 0.0
-      var ii = 0
-      while (ii < n) { s += ws(j)(ii) * (2 * side(ii) - 1); ii += 1 }
-      if (W(j) > 0) math.abs(s) / W(j) else 0.0
-    }
-    GDResult(x, side, g.edgeLocality(side), imb, traceRows.result())
+    GDResult(x, side, g.edgeLocality(side), imbalances(side), traceRows.toSeq, iterations)
   }
 }
 
-/** Post-rounding balance repair: flip least-confident vertices on the heavy
-  * side of the worst-violated dimension until every dimension is within ε
-  * (or no flip improves the worst violation).
-  */
+/** [[GDKernel.repair]] on in-core sides: vertex ids are indices. */
 object Rounding {
 
   def repair(side: Array[Int], x: Array[Double],
              ws: Array[Array[Double]], eps: Double): Unit = {
-    val n = side.length
-    val d = ws.length
-    val W = ws.map(_.sum)
-    val s = Array.tabulate(d) { j =>
-      var acc = 0.0
-      var i = 0
-      while (i < n) { acc += ws(j)(i) * (2 * side(i) - 1); i += 1 }
-      acc
-    }
-    def violation(j: Int): Double = math.abs(s(j)) - eps * W(j)
-    def maxViolation(): (Int, Double) = {
-      var bj = 0; var bv = Double.MinValue
-      var j = 0
-      while (j < d) { val v = violation(j); if (v > bv) { bv = v; bj = j }; j += 1 }
-      (bj, bv)
-    }
-    // Candidates ordered by confidence: least-integral first, so repairs cost
-    // the least locality.
-    val order = Array.tabulate(n)(identity).sortBy(i => math.abs(x(i)))
-    var guard = 0
-    var progress = true
-    while (progress && guard < 4 * d) {
-      progress = false
-      val (j, v) = maxViolation()
-      if (v > 0) {
-        val heavy = if (s(j) > 0) 1 else 0
-        var oi = 0
-        while (oi < n && violation(j) > 0) {
-          val i = order(oi)
-          if (side(i) == heavy) {
-            // Flipping i changes s(l) by −2·sign·w_l(i) for every l.
-            val sign = 2 * side(i) - 1
-            var worstBefore = 0.0
-            var worstAfter = 0.0
-            var l = 0
-            while (l < d) {
-              worstBefore = math.max(worstBefore, math.abs(s(l)) - eps * W(l))
-              worstAfter = math.max(worstAfter, math.abs(s(l) - 2.0 * sign * ws(l)(i)) - eps * W(l))
-              l += 1
-            }
-            if (worstAfter < worstBefore) {
-              l = 0
-              while (l < d) { s(l) -= 2.0 * sign * ws(l)(i); l += 1 }
-              side(i) = 1 - side(i)
-              progress = true
-            }
-          }
-          oi += 1
-        }
-      }
-      guard += 1
-    }
+    // A stable sort, so ties in |x| go to the smaller id.
+    lazy val order = Array.range(0, side.length).sortBy(i => math.abs(x(i)))
+    GDKernel.repair(GDKernel.sideSums(ws, side), ws.map(_.sum), eps,
+      heavy => order.iterator.filter(side(_) == heavy).map(i => (i.toLong, ws.map(_(i)))),
+      id => side(id.toInt) = 1 - side(id.toInt))
   }
 }

@@ -5,7 +5,7 @@ import org.apache.spark.ListenerBusDrain
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
-import repro.graphs.{GraphGen, GraphOps}
+import repro.graphs.{GraphGen, GraphOps, LocalGraph}
 
 /** Distributed GD: balance, quality, agreement with the in-core reference,
   * and the number of Spark jobs a GD iteration costs.
@@ -45,6 +45,36 @@ class DistGDSpec extends SparkSpec {
     assert(dist.locality > local.locality - 0.15,
       s"dist ${dist.locality} vs local ${local.locality}")
     edges.unpersist()
+  }
+
+  // Both executors run GDKernel with the same draws, so on a graph with ids
+  // 0..n−1 and no isolated vertex they take the same steps and round the
+  // same way; only the order of floating-point sums differs. Four blocks
+  // instead of the suite's 64 keep Spark's per-task cost down.
+  private lazy val agreementGraphs = Map(
+    "planted" -> GraphGen.plantedBisection(40, 0.2, 0.03, seed = 47),
+    "rmat" -> LocalGraph.fromDataFrame(GraphGen.toDF(spark, GraphGen.rmatLocal(7, 4, seed = 48)))._1)
+
+  for (graph <- Seq("planted", "rmat"); d <- Seq(1, 2, 4); fixing <- Seq(true, false)) {
+    test(s"LocalGD and DistGD agree per vertex: $graph graph, d=$d, vertex fixing $fixing") {
+      val g = agreementGraphs(graph)
+      assert((0 until g.n).forall(g.degree(_) > 0), "the graph has an isolated vertex")
+      val specs = Weights.All.take(d)
+      val c = cfg.copy(vertexFixing = fixing)
+      val local = LocalGD.bipartition(g, Weights.localAll(g, specs), c)
+      val edges = GraphGen.toDF(spark, g).persist()
+      val partitions = spark.conf.get("spark.sql.shuffle.partitions")
+      spark.conf.set("spark.sql.shuffle.partitions", "4")
+      val dist = try DistGD.bipartition(spark, edges, specs, c)
+        finally spark.conf.set("spark.sql.shuffle.partitions", partitions)
+      val parts = dist.assign.collect().map(r => r.getLong(0).toInt -> r.getInt(1)).toMap
+      assert(dist.iterations == local.iterations)
+      assert(parts.size == g.n)
+      val differ = (0 until g.n).count(i => parts(i) != local.side(i))
+      assert(differ == 0, s"$differ of ${g.n} vertices are on different sides")
+      dist.assign.unpersist()
+      edges.unpersist()
+    }
   }
 
   test("each GD iteration costs at most two Spark jobs") {
