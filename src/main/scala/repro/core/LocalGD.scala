@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.concurrent.RecursiveAction
 import repro.graphs.LocalGraph
 import scala.collection.mutable.ArrayBuffer
 
@@ -69,19 +70,48 @@ final case class GDResult(
   */
 object LocalGD {
 
-  /** Sparse mat-vec: out(u) = Σ_{v ∈ N(u)} z(v) — the gradient A·z. */
+  /** Sparse mat-vec: out(u) = Σ_{v ∈ N(u)} z(v) — the gradient A·z.
+    *
+    * Row ranges of about equal adjacency length (RMAT puts its hubs at low
+    * ids) run in parallel on the JVM's common fork-join pool; a range whose
+    * work is below `MatvecGrain` runs on the calling thread. Each out(u) is
+    * summed over N(u) in CSR order, so the result is bit-identical to a
+    * sequential loop.
+    */
   def matvec(g: LocalGraph, z: Array[Double]): Array[Double] = {
     val out = new Array[Double](g.n)
-    var u = 0
-    while (u < g.n) {
-      var s = 0.0
-      var i = g.offsets(u)
-      val end = g.offsets(u + 1)
-      while (i < end) { s += z(g.adj(i)); i += 1 }
-      out(u) = s
-      u += 1
-    }
+    new MatvecRows(g, z, out, 0, g.n).compute()
     out
+  }
+
+  /** Adjacency entries plus rows below which a row range is not split. */
+  private val MatvecGrain = 1 << 15
+
+  private final class MatvecRows(g: LocalGraph, z: Array[Double], out: Array[Double], lo: Int, hi: Int)
+      extends RecursiveAction {
+    private def work(u: Int): Long = g.offsets(u).toLong + u // increasing in u
+
+    def compute(): Unit =
+      if (hi - lo < 2 || work(hi) - work(lo) <= MatvecGrain) {
+        var u = lo
+        while (u < hi) {
+          var s = 0.0
+          var i = g.offsets(u)
+          val end = g.offsets(u + 1)
+          while (i < end) { s += z(g.adj(i)); i += 1 }
+          out(u) = s
+          u += 1
+        }
+      } else { // split at the first row in (lo, hi) where half the work is done
+        val half = (work(lo) + work(hi)) / 2
+        var a = lo + 1
+        var b = hi - 1
+        while (a < b) { val c = (a + b) >>> 1; if (work(c) < half) a = c + 1 else b = c }
+        val right = new MatvecRows(g, z, out, a, hi)
+        right.fork()
+        new MatvecRows(g, z, out, lo, a).compute()
+        right.join()
+      }
   }
 
   /** Balanced 2-partition of `g` under weight vectors `ws` (d × n). */

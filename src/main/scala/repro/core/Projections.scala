@@ -29,8 +29,6 @@ object Projections {
     s
   }
 
-  def norm(a: Array[Double]): Double = math.sqrt(dot(a, a))
-
   def dist(a: Array[Double], b: Array[Double]): Double = {
     var s = 0.0; var i = 0
     while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }

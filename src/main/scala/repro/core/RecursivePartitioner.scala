@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.concurrent.RecursiveAction
 import repro.graphs.LocalGraph
 
 /** Recursive k-way partitioning (paper §3.3): bipartition ⌈log₂k⌉ times.
@@ -7,6 +8,12 @@ import repro.graphs.LocalGraph
   * Weights are taken from the *original* graph (degree weights keep their
   * full-graph values when recursing, so edge balance tracks global edge
   * counts), while the gradient uses the induced subgraph's edges.
+  *
+  * The two halves of a split are independent: the second half's recursion is
+  * forked onto the JVM's common fork-join pool while the calling thread does
+  * the first. They share no mutable state (each has its own subgraph, weight
+  * rows and seed) and write disjoint slots of the result, so the output does
+  * not depend on the number of threads or on their timing.
   */
 object RecursivePartitioner {
 
@@ -24,18 +31,27 @@ object RecursivePartitioner {
         toOriginal.foreach(v => assign(v) = partBase)
         return
       }
-      val res = LocalGD.bipartition(sub, wsSub, cfg.copy(seed = seed))
-      val keep0 = Array.tabulate(sub.n)(i => res.side(i) == 0)
-      val keep1 = Array.tabulate(sub.n)(i => res.side(i) == 1)
-      val (g0, m0) = sub.inducedSubgraph(keep0)
-      val (g1, m1) = sub.inducedSubgraph(keep1)
-      val ws0 = wsSub.map(w => m0.map(w))
-      val ws1 = wsSub.map(w => m1.map(w))
-      recurse(g0, m0.map(toOriginal), ws0, partsLeft / 2, partBase, seed * 31 + 1)
-      recurse(g1, m1.map(toOriginal), ws1, partsLeft / 2, partBase + partsLeft / 2, seed * 31 + 2)
+      val side = LocalGD.bipartition(sub, wsSub, cfg.copy(seed = seed)).side
+      val half = partsLeft / 2
+      def recurseOn(s: Int): Unit = {
+        val (gs, m) = sub.inducedSubgraph(side.map(_ == s))
+        recurse(gs, gather(toOriginal, m), wsSub.map(gather(_, m)), half, partBase + s * half, seed * 31 + 1 + s)
+      }
+      val second = new RecursiveAction { def compute(): Unit = recurseOn(1) }
+      second.fork()
+      recurseOn(0)
+      second.join()
     }
 
-    recurse(g, Array.tabulate(g.n)(identity), ws, k, 0, cfg.seed)
+    recurse(g, Array.range(0, g.n), ws, k, 0, cfg.seed)
     assign
+  }
+
+  /** `a(idx(i))` for every i, without boxing. */
+  private def gather(a: Array[Int], idx: Array[Int]): Array[Int] = {
+    val out = new Array[Int](idx.length); java.util.Arrays.setAll(out, (i: Int) => a(idx(i))); out
+  }
+  private def gather(a: Array[Double], idx: Array[Int]): Array[Double] = {
+    val out = new Array[Double](idx.length); java.util.Arrays.setAll(out, (i: Int) => a(idx(i))); out
   }
 }

@@ -69,23 +69,8 @@ object GraphGen {
     * intra-community pair is an edge w.p. `pIn`, inter-community w.p. `pOut`.
     * Ground truth: vertices [0, half) vs [half, 2*half).
     */
-  def plantedBisection(half: Int, pIn: Double, pOut: Double, seed: Long = 7): LocalGraph = {
-    val rng = new Random(seed)
-    val n = 2 * half
-    val es = Array.newBuilder[(Int, Int)]
-    var u = 0
-    while (u < n) {
-      var v = u + 1
-      while (v < n) {
-        val sameSide = (u < half) == (v < half)
-        val p = if (sameSide) pIn else pOut
-        if (rng.nextDouble() < p) es += ((u, v))
-        v += 1
-      }
-      u += 1
-    }
-    LocalGraph.fromEdges(n, es.result())
-  }
+  def plantedBisection(half: Int, pIn: Double, pOut: Double, seed: Long = 7): LocalGraph =
+    plantedKCommunities(2, half, pIn, pOut, seed)
 
   /** `k` planted communities of size `per`; used for recursive k-way tests. */
   def plantedKCommunities(k: Int, per: Int, pIn: Double, pOut: Double, seed: Long = 9): LocalGraph = {
@@ -153,20 +138,15 @@ object GraphGen {
   // ---- Named substitutes for the paper's datasets (DESIGN.md §4) ----
 
   /** LiveJournal-lite: moderate size, moderate skew. */
-  def liveJournalLite(spark: SparkSession): DataFrame = rmat(spark, 14, 12, seed = 101)
   def liveJournalLiteLocal(): LocalGraph = rmatLocal(14, 12, seed = 101)
 
   /** Orkut-lite: denser. */
-  def orkutLite(spark: SparkSession): DataFrame = rmat(spark, 13, 28, seed = 102)
   def orkutLiteLocal(): LocalGraph = rmatLocal(13, 28, seed = 102)
 
   /** Twitter-lite: dense with strongly skewed degrees (a = 0.65). */
-  def twitterLite(spark: SparkSession): DataFrame =
-    rmat(spark, 14, 35, seed = 103, a = 0.65, b = 0.16, c = 0.16)
   def twitterLiteLocal(): LocalGraph = rmatLocal(14, 35, seed = 103, a = 0.65, b = 0.16, c = 0.16)
 
   /** Friendster-lite: larger, moderately dense. */
-  def friendsterLite(spark: SparkSession): DataFrame = rmat(spark, 15, 27, seed = 104)
   def friendsterLiteLocal(): LocalGraph = rmatLocal(15, 27, seed = 104)
 
   /** FB-lite-s: the FB-X stand-ins at RMAT scale `s` (13..17). */

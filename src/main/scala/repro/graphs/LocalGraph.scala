@@ -6,12 +6,12 @@ import org.apache.spark.sql.DataFrame
   * undirected graph on vertices `0 until n`.
   *
   * Each undirected edge {u,v} is stored twice in `adj` (once per endpoint),
-  * so `adj.length == 2 * numEdges`. Self-loops and parallel edges are
-  * removed by the builders.
+  * so `adj.length == 2 * numEdges`. The builders remove self-loops and
+  * parallel edges and sort every adjacency list.
   *
-  * This is the in-core mirror used by the reference GD implementation and
-  * the baseline partitioners; the distributed path works on the DataFrame
-  * edge list directly.
+  * This is the in-core graph of [[repro.core.LocalGD]], the recursive
+  * partitioner and the baseline partitioners. [[repro.core.DistGD]] builds
+  * its own CSR blocks, one per Spark partition, from the DataFrame edge list.
   */
 final class LocalGraph(val n: Int, val offsets: Array[Int], val adj: Array[Int]) {
 
@@ -61,29 +61,37 @@ final class LocalGraph(val n: Int, val offsets: Array[Int], val adj: Array[Int])
     if (numEdges == 0) 1.0 else uncutEdges(assign).toDouble / numEdges
 
   /** Induced subgraph on `keep` (a 0/1 membership mask); returns the
-    * subgraph together with the map from new vertex ids to original ids.
+    * subgraph together with the increasing map from new vertex ids to
+    * original ids.
+    *
+    * Each kept vertex's adjacency is filtered through the increasing
+    * old → new id map, so it stays sorted and duplicate-free: the arrays are
+    * exactly those [[LocalGraph.fromEdges]] builds from the kept edges.
     */
   def inducedSubgraph(keep: Array[Boolean]): (LocalGraph, Array[Int]) = {
-    val old2new = new Array[Int](n)
-    java.util.Arrays.fill(old2new, -1)
-    val new2old = Array.newBuilder[Int]
+    val old2new = new Array[Int](n) // read for kept vertices only
+    val new2old = new Array[Int](n)
     var m = 0
     var v = 0
     while (v < n) {
-      if (keep(v)) { old2new(v) = m; new2old += v; m += 1 }
+      if (keep(v)) { old2new(v) = m; new2old(m) = v; m += 1 }
       v += 1
     }
-    val es = Array.newBuilder[(Int, Int)]
+    val subOffsets = new Array[Int](m + 1)
+    val subAdj = new Array[Int](adj.length)
+    var j = 0
     var u = 0
-    while (u < n) {
-      if (keep(u)) {
-        foreachNeighbor(u) { w =>
-          if (u < w && keep(w)) es += ((old2new(u), old2new(w)))
-        }
+    while (u < m) {
+      var i = offsets(new2old(u))
+      val end = offsets(new2old(u) + 1)
+      while (i < end) {
+        if (keep(adj(i))) { subAdj(j) = old2new(adj(i)); j += 1 }
+        i += 1
       }
       u += 1
+      subOffsets(u) = j
     }
-    (LocalGraph.fromEdges(m, es.result()), new2old.result())
+    (new LocalGraph(m, subOffsets, java.util.Arrays.copyOf(subAdj, j)), java.util.Arrays.copyOf(new2old, m))
   }
 }
 

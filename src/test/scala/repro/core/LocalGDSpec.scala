@@ -163,4 +163,25 @@ class LocalGDSpec extends AnyFunSuite {
     assert(res.side.forall(s => s == 0 || s == 1))
     assert(res.imbalances.max <= 0.15)
   }
+
+  /** The mat-vec as one sequential loop over the rows, in CSR order. */
+  private def matvecReference(g: repro.graphs.LocalGraph, z: Array[Double]): Array[Double] =
+    Array.tabulate(g.n) { u =>
+      var s = 0.0
+      for (i <- g.offsets(u) until g.offsets(u + 1)) s += z(g.adj(i))
+      s
+    }
+
+  for ((name, g) <- Seq(
+      "RMAT scale 14" -> GraphGen.rmatLocal(14, 8, seed = 85),
+      "n = 0" -> repro.graphs.LocalGraph.fromEdges(0, Array.empty),
+      "n = 1" -> repro.graphs.LocalGraph.fromEdges(1, Array.empty),
+      "edgeless" -> repro.graphs.LocalGraph.fromEdges(50, Array.empty))) {
+    test(s"matvec is bit-equal to a sequential loop ($name)") {
+      val rng = new scala.util.Random(86)
+      // Magnitudes spread over many orders, so a different summation order shows.
+      val z = Array.fill(g.n)(rng.nextGaussian() * math.exp(10 * rng.nextGaussian()))
+      assert(LocalGD.matvec(g, z).sameElements(matvecReference(g, z)))
+    }
+  }
 }

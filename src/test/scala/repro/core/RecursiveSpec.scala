@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graphs.{GraphGen, GraphOps}
+import repro.graphs.{GraphGen, GraphOps, LocalGraph}
 import repro.baselines.HashPartition
 
 /** Recursive k-way partitioning (§3.3). */
@@ -58,5 +58,49 @@ class RecursiveSpec extends AnyFunSuite {
     val a = RecursivePartitioner.partition(g, ws, 4, GDConfig(seed = 11))
     val b = RecursivePartitioner.partition(g, ws, 4, GDConfig(seed = 11))
     assert(a.toSeq == b.toSeq)
+  }
+
+  /** The recursion done sequentially: the same `LocalGD.bipartition` and
+    * `inducedSubgraph` calls with the same seeds, first half before second.
+    */
+  private def sequentialReference(g: LocalGraph, ws: Array[Array[Double]], k: Int, cfg: GDConfig): Array[Int] = {
+    val assign = new Array[Int](g.n)
+    def recurse(sub: LocalGraph, toOriginal: Array[Int], wsSub: Array[Array[Double]],
+                parts: Int, base: Int, seed: Long): Unit =
+      if (parts == 1 || sub.n == 0) toOriginal.foreach(v => assign(v) = base)
+      else {
+        val side = LocalGD.bipartition(sub, wsSub, cfg.copy(seed = seed)).side
+        for (s <- 0 to 1) {
+          val (gs, m) = sub.inducedSubgraph(side.map(_ == s))
+          recurse(gs, m.map(toOriginal), wsSub.map(w => m.map(w)), parts / 2, base + s * parts / 2, seed * 31 + 1 + s)
+        }
+      }
+    recurse(g, Array.range(0, g.n), ws, k, 0, cfg.seed)
+    assign
+  }
+
+  private lazy val rmat10 = GraphGen.rmatLocal(10, 8, seed = 25)
+  private lazy val rmat10Ws = Weights.localAll(rmat10, Seq(Weights.Unit, Weights.Degree))
+
+  for (k <- Seq(2, 4, 8, 16)) {
+    test(s"k=$k: parallel recursion equals the sequential reference for every vertex") {
+      val cfg = GDConfig(eps = 0.03, seed = 26)
+      val a = RecursivePartitioner.partition(rmat10, rmat10Ws, k, cfg)
+      val ref = sequentialReference(rmat10, rmat10Ws, k, cfg)
+      val differ = a.indices.count(v => a(v) != ref(v))
+      assert(differ == 0, s"$differ of ${a.length} vertices differ")
+    }
+  }
+
+  test("two concurrent calls each return the sequential call's parts") {
+    val cfgs = Seq(GDConfig(eps = 0.03, seed = 27), GDConfig(eps = 0.05, seed = 28))
+    val sequential = cfgs.map(c => RecursivePartitioner.partition(rmat10, rmat10Ws, 16, c))
+    val results = new Array[Array[Int]](cfgs.length)
+    val threads = cfgs.indices.map { i =>
+      new Thread(() => results(i) = RecursivePartitioner.partition(rmat10, rmat10Ws, 16, cfgs(i)))
+    }
+    threads.foreach(_.start())
+    threads.foreach(_.join())
+    cfgs.indices.foreach(i => assert(results(i).sameElements(sequential(i)), s"call $i"))
   }
 }

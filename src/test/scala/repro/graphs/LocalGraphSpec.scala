@@ -98,4 +98,49 @@ class LocalGraphSpec extends AnyFunSuite {
     assert((0 until 17).forall(g.degree(_) == 2))
     assert(g.numEdges == 17)
   }
+
+  /** `inducedSubgraph` against `fromEdges` on the kept edges, remapped. */
+  private def checkInduced(g: LocalGraph, keep: Array[Boolean]): Unit = {
+    val (sub, toOld) = g.inducedSubgraph(keep)
+    assert(toOld.toSeq == (0 until g.n).filter(keep), "new -> old map is the kept ids in order")
+    assert(toOld.indices.drop(1).forall(i => toOld(i - 1) < toOld(i)))
+    val oldToNew = toOld.zipWithIndex.toMap
+    val kept = g.edges.collect { case (u, v) if keep(u) && keep(v) => (oldToNew(u), oldToNew(v)) }
+    val expected = LocalGraph.fromEdges(toOld.length, kept)
+    assert(sub.n == expected.n)
+    assert(sub.offsets.sameElements(expected.offsets))
+    assert(sub.adj.sameElements(expected.adj))
+  }
+
+  for (seed <- 1 to 6) {
+    test(s"inducedSubgraph builds the CSR arrays of fromEdges on the kept edges (random mask, seed=$seed)") {
+      val rng = new Random(seed)
+      val g = GraphGen.rmatLocal(9, 6, seed = seed)
+      val p = rng.nextDouble()
+      checkInduced(g, Array.fill(g.n)(rng.nextDouble() < p))
+    }
+  }
+
+  test("inducedSubgraph with an all-false mask is empty") {
+    val g = GraphGen.rmatLocal(8, 4, seed = 12)
+    checkInduced(g, Array.fill(g.n)(false))
+    assert(g.inducedSubgraph(Array.fill(g.n)(false))._1.n == 0)
+  }
+
+  test("inducedSubgraph with an all-true mask is the graph itself") {
+    val g = GraphGen.rmatLocal(8, 4, seed = 13)
+    checkInduced(g, Array.fill(g.n)(true))
+    val (sub, toOld) = g.inducedSubgraph(Array.fill(g.n)(true))
+    assert(sub.offsets.sameElements(g.offsets) && sub.adj.sameElements(g.adj))
+    assert(toOld.toSeq == (0 until g.n))
+  }
+
+  test("inducedSubgraph keeps vertices the mask leaves isolated") {
+    val star = GraphGen.star(12)
+    checkInduced(star, Array.tabulate(12)(_ != 0)) // no hub: 11 isolated leaves
+    assert(star.inducedSubgraph(Array.tabulate(12)(_ != 0))._1.numEdges == 0)
+    val path = GraphGen.path(15)
+    checkInduced(path, Array.tabulate(15)(_ % 3 != 1)) // isolated and paired vertices
+    checkInduced(GraphGen.rmatLocal(8, 2, seed = 14), Array.tabulate(256)(_ % 2 == 0))
+  }
 }
