@@ -75,7 +75,7 @@ object DistGD {
   /** Balanced 2-partition of the canonical edge list under the named weight
     * specs (see [[Weights]]). Only the one-shot alternating projection is
     * supported distributed — matching the paper's large-scale configuration;
-    * the other projection methods are evaluated in-core by [[LocalGD]].
+    * the exact projection is evaluated in-core by [[LocalGD]].
     */
   def bipartition(spark: SparkSession, edges: DataFrame, specs: Seq[String],
                   cfg: GDConfig): Result = {

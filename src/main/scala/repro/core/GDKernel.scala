@@ -3,9 +3,9 @@ package repro.core
 import repro.SplitMix.mix
 
 /** Algorithm 1 of the paper with the practical choices of §3.2, once for
-  * both executors: noise at t = 0, the one-shot alternating projection,
-  * the adaptive step, vertex fixing, the final projection, randomized
-  * rounding and balance repair.
+  * both executors: noise at t = 0, the one-shot alternating (or the exact)
+  * projection, the adaptive step, vertex fixing, the final projection,
+  * randomized rounding and balance repair.
   *
   * The driver ([[run]]) sees the vertices only through [[Blocks]].
   * [[LocalGD]] holds them as one block of arrays, [[DistGD]] as an RDD of
@@ -121,6 +121,115 @@ object GDKernel {
       i += 1
     }
     sq
+  }
+
+  /** The `α` for [[step]] that makes it the exact projection (paper §2.2,
+    * Prop. 2.1, Appendix A) of `y = z + γ·grad` onto the cube and the slabs
+    * `⟨w_j, x⟩ ∈ [los_j, his_j]` over the free vertices: `clip(y − Σ_j λ_j·w_j)`
+    * for the dual optimum `λ`, any d. Dual ascent: along `λ_j` the slope is
+    * the residual `⟨w_j, x(λ)⟩ − c_j`, `c_j` = `his_j` if `λ_j > 0`, `los_j` if
+    * `λ_j < 0`, else the interval's nearest end. A pass takes exact line
+    * searches along each coordinate, then along the Newton direction of the
+    * active slabs (Kiwiel, Math. Program. 112, 2008; Dai & Fletcher, Math.
+    * Program. 106, 2006). Intervals are clamped to the achievable
+    * `±Σ_free |w_j|`. Stops when every residual is within `1e-9·(1 + Σ_free |w_j|)`
+    * or after `maxPasses` passes (no point of the cube meets all slabs).
+    * Returns `λ` and the passes taken.
+    */
+  def exactCoefficients(w: Array[Array[Double]], fixed: Array[Boolean], z: Array[Double],
+                        grad: Array[Double], gamma: Double, los: Array[Double], his: Array[Double],
+                        maxPasses: Int = 100): (Array[Double], Int) = {
+    val d = w.length
+    val free = Array.range(0, z.length).filter(i => !fixed(i))
+    /** `Σ_i f(i)` over the free vertices. */
+    def total(f: Int => Double): Double = {
+      var (r, k) = (0.0, 0)
+      while (k < free.length) { r += f(free(k)); k += 1 }
+      r
+    }
+    val reach = w.map(wj => total(i => math.abs(wj(i))))
+    val sq = w.map(wj => total(i => wj(i) * wj(i)))
+    val lo = Array.tabulate(d)(j => math.max(-reach(j), math.min(reach(j), los(j))))
+    val hi = Array.tabulate(d)(j => math.max(-reach(j), math.min(reach(j), his(j))))
+    val lambda = new Array[Double](d)
+    val u = new Array[Double](z.length) // y − Σ_j λ_j·w_j on the free vertices
+    val v = new Array[Double](z.length)
+    val s = new Array[Double](d)        // ⟨w_j, clip(u)⟩
+    val gram = Array.ofDim[Double](d, d)
+
+    def residual(j: Int): Double = s(j) - (if (lambda(j) > 0) hi(j) else if (lambda(j) < 0) lo(j)
+      else math.max(lo(j), math.min(hi(j), s(j))))
+
+    /** `u`, `s` and `G` at the current `λ`. */
+    def measure(): Unit = {
+      for (i <- free) u(i) = z(i) + gamma * grad(i)
+      for (j <- 0 until d; i <- free) u(i) -= lambda(j) * w(j)(i)
+      for (j <- 0 until d) s(j) = total(i => w(j)(i) * Projections.clip(u(i)))
+      for (j <- 0 until d; l <- 0 until d) gram(j)(l) = total(i => if (math.abs(u(i)) < 1) w(j)(i) * w(l)(i) else 0.0)
+    }
+
+    /** Moves `λ` by `t·e`, `t ≥ 0`, to the dual's maximum on that ray before
+      * some `λ_j` changes sign (or to that `λ_j = 0`): the root of its slope
+      * `g(t) = Σ_i v_i·clip(u_i − t·v_i) − Σ_j e_j·c_j`, `v = Σ_j e_j·w_j`.
+      */
+    def search(e: Array[Double]): Unit = {
+      val toZero = Array.tabulate(d)(j => if (lambda(j) * e(j) < 0) -lambda(j) / e(j) else Double.PositiveInfinity)
+      val c = (0 until d).map(j => e(j) * (if (lambda(j) > 0 || lambda(j) == 0 && e(j) > 0) hi(j) else lo(j))).sum
+      for (i <- free) v(i) = 0.0
+      for (j <- 0 until d if e(j) != 0; i <- free) v(i) += e(j) * w(j)(i)
+      def g(t: Double): Double = total(i => v(i) * Projections.clip(u(i) - t * v(i))) - c
+      def slope(t: Double): Double = -total(i => if (math.abs(u(i) - t * v(i)) < 1) v(i) * v(i) else 0.0)
+      var (a, fa) = (0.0, g(0))
+      if (fa > 0) {
+        var last = 0.0 // g is constant past the last breakpoint
+        for (i <- free if v(i) != 0) last = math.max(last, (u(i) + math.signum(v(i))) / v(i))
+        var (b, t) = (math.min(last, toZero.min), toZero.min)
+        var fb = g(b)
+        if (fb < 0) { // Newton from the last point, else bisection, inside the bracket
+          var (x, fx, steps) = (a, fa, 0)
+          val tol = 1e-9 * fa + 1e-14 * (0 until d).map(j => math.abs(e(j)) * reach(j)).sum
+          while (math.abs(fx) > tol && b - a > 1e-15 * (a + b) && steps < 200) {
+            val newton = x - fx / slope(x)
+            x = if (newton > a && newton < b) newton else 0.5 * (a + b)
+            fx = g(x)
+            steps += 1
+            if (fx > 0) { a = x; fa = fx } else { b = x; fb = fx }
+          }
+          t = if (math.abs(fx) <= tol) x else a + fa * (b - a) / (fa - fb)
+        } else if (t.isInfinite) t = b
+        for (i <- free) u(i) -= t * v(i)
+        for (j <- 0 until d) lambda(j) = if (toZero(j) == t) 0.0 else lambda(j) + t * e(j)
+      }
+    }
+
+    measure()
+    var passes = 0
+    while (passes < maxPasses && (0 until d).exists(j => math.abs(residual(j)) > 1e-9 * (1 + reach(j)))) {
+      for (j <- 0 until d; sign <- Seq(1.0, -1.0)) search(Array.tabulate(d)(l => if (l == j) sign else 0.0))
+      measure()
+      val r = Array.tabulate(d)(residual)
+      search(newtonDirection(gram, r, Array.tabulate(d)(j => if (lambda(j) != 0 || r(j) != 0) sq(j) else 0.0)))
+      measure()
+      passes += 1
+    }
+    (lambda, passes)
+  }
+
+  /** Newton direction `δ` for the residuals `r` of the slabs with `sq_j > 0`,
+    * 0 for the others: `(Ĝ + 10⁻¹²·I)·δ̂ = r̂` with `Ĝ_jl = G_jl/√(sq_j·sq_l)`,
+    * `r̂_j = r_j/√sq_j` and `δ_j = δ̂_j/√sq_j`. The ridge keeps `δ` finite when
+    * rows depend on each other over the unclipped coordinates.
+    */
+  private def newtonDirection(g: Array[Array[Double]], r: Array[Double], sq: Array[Double]): Array[Double] = {
+    val d = r.length
+    val sc = sq.map(q => if (q > 0) 1 / math.sqrt(q) else 0.0)
+    val a = Array.tabulate(d, d + 1)((j, l) => if (l == d) r(j) * sc(j)
+      else g(j)(l) * sc(j) * sc(l) + (if (j != l) 0.0 else if (sc(j) > 0) 1e-12 else 1.0))
+    for (k <- 0 until d; i <- 0 until d if i != k) { // Gauss–Jordan; the matrix is positive definite
+      val f = a(i)(k) / a(k)(k)
+      for (c <- k to d) a(i)(c) -= f * a(k)(c)
+    }
+    Array.tabulate(d)(k => a(k)(d) / a(k)(k) * sc(k))
   }
 
   /** [[step]] from `x` with a zero gradient and no fixing, so `fixed`

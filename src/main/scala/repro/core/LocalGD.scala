@@ -9,11 +9,7 @@ sealed trait ProjectionMethod
 object ProjectionMethod {
   /** Project each plane once, then the cube — the paper's default. */
   case object OneShot extends ProjectionMethod
-  /** Alternate planes + cube until feasible. */
-  case object FullAlternating extends ProjectionMethod
-  /** Dykstra's algorithm (true projection, iterative). */
-  case object Dykstra extends ProjectionMethod
-  /** Exact KKT-based projection; d ≤ 2 only. */
+  /** The exact projection, any d ([[GDKernel.exactCoefficients]]); in-core only. */
   case object Exact extends ProjectionMethod
 }
 
@@ -21,7 +17,7 @@ object ProjectionMethod {
   *
   * @param eps            allowed relative imbalance per dimension
   * @param iterations     I, the iteration budget (paper uses 100)
-  * @param projection     projection method for intermediate iterations
+  * @param projection     in-loop projection: one-shot or exact (any d)
   * @param adaptiveStep   rescale γ each iteration so that the realized step
   *                       length ‖x_t − x_{t+1}‖ stays near the target
   * @param vertexFixing   freeze near-integral coordinates (§3.2)
@@ -64,9 +60,9 @@ final case class GDResult(
 )
 
 /** In-core executor of [[GDKernel]]: one block of arrays indexed by vertex,
-  * with the mat-vec over the CSR graph. It also runs the projection methods
-  * other than one-shot, which only it supports. Used for the
-  * many-configuration quality sweeps and as the reference for [[DistGD]].
+  * with the mat-vec over the CSR graph. It also runs the exact projection,
+  * which only it supports. Used for the many-configuration quality sweeps
+  * and as the reference for [[DistGD]].
   */
 object LocalGD {
 
@@ -119,8 +115,6 @@ object LocalGD {
     val n = g.n
     val d = ws.length
     require(d >= 1, "need at least one weight dimension")
-    require(cfg.projection != ProjectionMethod.Exact || d <= 2,
-      "exact projection is implemented for d <= 2 only (as in the paper)")
     val W = ws.map(_.sum)
     val x = new Array[Double](n)
     val fixed = new Array[Boolean](n)
@@ -138,48 +132,30 @@ object LocalGD {
     val blocks = new GDKernel.Blocks {
       private var z = x
       private var grad = x
+      private var stats = Array.emptyDoubleArray
       private var stepSq = 0.0
 
       def stepStats(noise: Double): Array[Double] = {
         z = if (noise == 0.0) x else Array.tabulate(n)(i => x(i) + noise * GDKernel.gauss(cfg.seed, i))
         grad = matvec(g, z)
-        GDKernel.stats(ws, x, fixed, z, grad, stepSq)
+        stats = GDKernel.stats(ws, x, fixed, z, grad, stepSq)
+        stats
       }
 
+      /** Exact: `α` from the slabs shifted by the fixed vertices' weight `F`. */
       def step(gamma: Double, alpha: Array[Double]): Unit = {
-        stepSq =
-          if (cfg.projection == ProjectionMethod.OneShot)
-            GDKernel.step(ws, x, fixed, z, grad, gamma, alpha, fixAt, x, fixed)
-          else {
-            // The projected point, taken as a step of length zero from it.
-            val p = project(gamma)
-            GDKernel.step(ws, x, fixed, p, p, 0.0, new Array[Double](d), fixAt, x, fixed)
-          }
+        val a = if (cfg.projection == ProjectionMethod.OneShot) alpha else {
+          val f = GDKernel.fixedWeight(stats, d)
+          GDKernel.exactCoefficients(ws, fixed, z, grad, gamma,
+            Array.tabulate(d)(j => -cfg.eps * W(j) - f(j)), Array.tabulate(d)(j => cfg.eps * W(j) - f(j)))._1
+        }
+        stepSq = GDKernel.step(ws, x, fixed, z, grad, gamma, a, fixAt, x, fixed)
         if (cfg.trace) traceRows += traceRow(traceRows.length)
       }
 
       def slabStats(): Array[Double] = GDKernel.slabStats(ws, x, fixed)
 
       def shift(alpha: Array[Double]): Unit = GDKernel.shift(ws, x, fixed, alpha, x)
-
-      /** `z + γ·grad` projected by `cfg.projection` onto the slabs shifted
-        * by the fixed vertices' weight. Fixed vertices get weight 0, so
-        * they stay at ±1 and the projection acts on the free ones only.
-        */
-      private def project(gamma: Double): Array[Double] = {
-        val y = Array.tabulate(n)(i => if (fixed(i)) x(i) else z(i) + gamma * grad(i))
-        val wsF = ws.map(w => Array.tabulate(n)(i => if (fixed(i)) 0.0 else w(i)))
-        val f = GDKernel.fixedWeight(GDKernel.slabStats(ws, x, fixed), d)
-        val los = Array.tabulate(d)(j => -cfg.eps * W(j) - f(j))
-        val his = Array.tabulate(d)(j => cfg.eps * W(j) - f(j))
-        cfg.projection match {
-          case ProjectionMethod.FullAlternating => Projections.alternating(y, wsF, los, his, maxIter = 200)
-          case ProjectionMethod.Dykstra => Projections.dykstra(y, wsF, los, his, maxIter = 300)
-          case _ =>
-            if (d == 1) Projections.exact1D(y, wsF(0), los(0), his(0))
-            else Projections.exact2D(y, wsF(0), wsF(1), los(0), his(0), los(1), his(1))
-        }
-      }
     }
 
     val iterations = GDKernel.run(blocks, n, W, cfg)

@@ -240,10 +240,10 @@ object Experiments {
   final case class ProjectionRow(method: String, eps: Double, locality: Double, maxImb: Double)
 
   /** Figure 10: exact projection at several allowed imbalances vs one-shot
-    * alternating (small graph -- exact projection is the expensive option).
+    * alternating, on the graph of Figure 9.
     */
   def projectionComparison(): Seq[ProjectionRow] = {
-    val g = GraphGen.rmatLocal(10, 8, seed = 55)
+    val g = GraphGen.liveJournalLiteLocal()
     val ws = Weights.localAll(g, Seq(Weights.Unit, Weights.Degree))
     val exact = Seq(0.01, 0.05, 0.1, 0.2).map { e =>
       val res = LocalGD.bipartition(g, ws,
@@ -256,7 +256,7 @@ object Experiments {
       ProjectionRow("one-shot", e, res.locality, res.imbalances.max)
     }
     val rows = exact ++ oneShot
-    Tab.show(s"Figure 10 (as table) -- projection method comparison (RMAT scale 10)",
+    Tab.show(s"Figure 10 (as table) -- projection method comparison (LiveJournal-lite, k=2)",
       Seq("method", "eps", "locality", "maxImb"),
       rows.map(r => Seq(r.method, r.eps, r.locality, r.maxImb)))
     rows

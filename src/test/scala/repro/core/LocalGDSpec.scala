@@ -86,8 +86,7 @@ class LocalGDSpec extends AnyFunSuite {
     assert(a.toSeq != b.toSeq)
   }
 
-  for (method <- Seq[ProjectionMethod](ProjectionMethod.OneShot,
-    ProjectionMethod.FullAlternating, ProjectionMethod.Dykstra, ProjectionMethod.Exact)) {
+  for (method <- Seq[ProjectionMethod](ProjectionMethod.OneShot, ProjectionMethod.Exact)) {
     test(s"projection method $method produces a balanced, better-than-hash cut") {
       val g = GraphGen.plantedBisection(60, 0.2, 0.02, seed = 12)
       val res = LocalGD.bipartition(g, wsFor(g, Seq(Weights.Unit, Weights.Degree)),
@@ -98,11 +97,15 @@ class LocalGDSpec extends AnyFunSuite {
     }
   }
 
-  test("exact projection with d=3 is rejected") {
+  test("exact projection at d=4 returns x inside every slab") {
+    // No fixing and no final projection, so x is the last in-loop exact projection.
     val g = GraphGen.rmatLocal(8, 4)
-    intercept[IllegalArgumentException] {
-      LocalGD.bipartition(g, wsFor(g, Weights.All.take(3)),
-        GDConfig(projection = ProjectionMethod.Exact))
+    val ws = wsFor(g, Weights.All.take(4))
+    val cfg = GDConfig(projection = ProjectionMethod.Exact, vertexFixing = false, finalProjIters = 0)
+    val res = LocalGD.bipartition(g, ws, cfg)
+    ws.foreach { w =>
+      val bound = cfg.eps * w.sum + 1e-6 * (1 + w.sum)
+      assert(math.abs(Projections.dot(w, res.x)) <= bound, s"slab ${Projections.dot(w, res.x)} vs $bound")
     }
   }
 

@@ -21,6 +21,10 @@ class ProjectionsPropertySpec extends AnyFunSuite {
   private def samples[A](g: Gen[A], count: Int, seed: Long): Seq[A] =
     (0 until count).flatMap(i => g.apply(Gen.Parameters.default, Seed(seed + i)))
 
+  /** The exact projection of `y` onto the cube and the slabs `|⟨w_j, x⟩| ≤ lims_j`. */
+  private def exact(y: Array[Double], ws: Array[Array[Double]], lims: Array[Double]): Array[Double] =
+    ExactProjection(y, ws, lims.map(-_), lims)
+
   private def weightsLike(y: Array[Double], seed: Long): Array[Double] = {
     val rng = new scala.util.Random(seed)
     Array.fill(y.length)(0.05 + rng.nextDouble() * 2)
@@ -57,7 +61,7 @@ class ProjectionsPropertySpec extends AnyFunSuite {
       val w = weightsLike(y, 10 + i)
       val eps = 0.01 + (i % 10) * 0.04
       val lim = eps * w.sum
-      val x = exact1D(y, w, -lim, lim)
+      val x = exact(y, Array(w), Array(lim))
       assert(inBox(x, 1e-9))
       assert(math.abs(dot(w, x)) <= lim + 1e-6 * (1 + lim))
     }
@@ -67,7 +71,7 @@ class ProjectionsPropertySpec extends AnyFunSuite {
     samples(vecGen, 50, 5).zipWithIndex.foreach { case (y, i) =>
       val w = weightsLike(y, 20 + i)
       val lim = 0.1 * w.sum
-      val x = exact1D(y, w, -lim, lim)
+      val x = exact(y, Array(w), Array(lim))
       val zero = Array.fill(y.length)(0.0)
       assert(dist(x, y) <= dist(zero, y) + 1e-9)
     }
@@ -79,10 +83,23 @@ class ProjectionsPropertySpec extends AnyFunSuite {
       val w2 = weightsLike(y, 60 + i)
       val eps = 0.05 + (i % 8) * 0.04
       val l1 = eps * w1.sum; val l2 = eps * w2.sum
-      val x = exact2D(y, w1, w2, -l1, l1, -l2, l2)
+      val x = exact(y, Array(w1, w2), Array(l1, l2))
       assert(inBox(x, 1e-6))
       assert(math.abs(dot(w1, x)) <= l1 + 1e-5 * (1 + l1))
       assert(math.abs(dot(w2, x)) <= l2 + 1e-5 * (1 + l2))
+    }
+  }
+
+  for (d <- 3 to 4) {
+    test(s"property: exact output is feasible at d=$d") {
+      samples(vecGen, 30, 6 + 10 * d).zipWithIndex.foreach { case (y, i) =>
+        val ws = Array.tabulate(d)(j => weightsLike(y, 100 * d + 30 * j + i))
+        val eps = 0.05 + (i % 8) * 0.04
+        val lims = ws.map(eps * _.sum)
+        val x = exact(y, ws, lims)
+        assert(inBox(x, 1e-6))
+        ws.zip(lims).foreach { case (w, l) => assert(math.abs(dot(w, x)) <= l + 1e-5 * (1 + l)) }
+      }
     }
   }
 

@@ -7,7 +7,7 @@ import scala.util.Random
   *
   * Dykstra's algorithm provably converges to the true Euclidean projection
   * onto the intersection of convex sets, so it serves as the reference for
-  * the exact d=1 / d=2 solvers.
+  * the exact projection ([[GDKernel.exactCoefficients]]) at d = 1…4.
   */
 class ProjectionsSpec extends AnyFunSuite {
   import Projections._
@@ -71,7 +71,7 @@ class ProjectionsSpec extends AnyFunSuite {
       val rng = new Random(1000 + trial)
       val n = 5 + rng.nextInt(50)
       val (y, ws, los, his) = randInstance(rng, n, 1)
-      val ex = exact1D(y, ws(0), los(0), his(0))
+      val ex = ExactProjection(y, ws, los, his)
       assert(feasible(ex, ws, los, his, 1e-6), "exact1D result infeasible")
       val dy = dykstra(y, ws, los, his, maxIter = 8000, tol = 1e-13)
       assert(feasible(dy, ws, los, his, 1e-5), "dykstra result infeasible")
@@ -88,8 +88,24 @@ class ProjectionsSpec extends AnyFunSuite {
       val rng = new Random(2000 + trial)
       val n = 5 + rng.nextInt(40)
       val (y, ws, los, his) = randInstance(rng, n, 2)
-      val ex = exact2D(y, ws(0), ws(1), los(0), his(0), los(1), his(1))
+      val ex = ExactProjection(y, ws, los, his)
       assert(feasible(ex, ws, los, his, 1e-5), "exact2D result infeasible")
+      val dy = dykstra(y, ws, los, his, maxIter = 8000, tol = 1e-13)
+      val dEx = dist(ex, y)
+      val dDy = dist(dy, y)
+      assert(dEx <= dDy + 1e-4, s"exact dist $dEx > dykstra dist $dDy")
+      assert(math.abs(dEx - dDy) < 1e-3, s"distance mismatch: $dEx vs $dDy")
+    }
+  }
+
+  // ---- exact d = 3 and d = 4 vs Dykstra, at the d = 2 tolerances ----
+  for (d <- 3 to 4; trial <- 1 to 25) {
+    test(s"exact projection at d=$d equals the true projection (trial $trial)") {
+      val rng = new Random(1000 * (5 + d) + trial)
+      val n = 5 + rng.nextInt(40)
+      val (y, ws, los, his) = randInstance(rng, n, d)
+      val ex = ExactProjection(y, ws, los, his)
+      assert(feasible(ex, ws, los, his, 1e-5), "exact result infeasible")
       val dy = dykstra(y, ws, los, his, maxIter = 8000, tol = 1e-13)
       val dEx = dist(ex, y)
       val dDy = dist(dy, y)
@@ -108,9 +124,9 @@ class ProjectionsSpec extends AnyFunSuite {
       val y = Array.fill(n)(rng.nextDouble() * 0.02 - 0.01)
       val los = ws.map(w => -0.5 * w.sum)
       val his = ws.map(w => 0.5 * w.sum)
-      val e1 = exact1D(y, ws(0), los(0), his(0))
+      val e1 = ExactProjection(y, Array(ws(0)), Array(los(0)), Array(his(0)))
       assert(dist(e1, y) < 1e-9)
-      val e2 = exact2D(y, ws(0), ws(1), los(0), his(0), los(1), his(1))
+      val e2 = ExactProjection(y, ws, los, his)
       assert(dist(e2, y) < 1e-9)
     }
   }
@@ -125,7 +141,7 @@ class ProjectionsSpec extends AnyFunSuite {
       val shift = (rng.nextDouble() - 0.5) * w.sum * 0.4
       val lo = -0.1 * w.sum + shift
       val hi = 0.1 * w.sum + shift
-      val ex = exact1D(y, w, lo, hi)
+      val ex = ExactProjection(y, Array(w), Array(lo), Array(hi))
       assert(inBox(ex, 1e-9))
       val s = dot(w, ex)
       assert(s >= lo - 1e-6 && s <= hi + 1e-6)
@@ -166,28 +182,40 @@ class ProjectionsSpec extends AnyFunSuite {
     // interval far outside the reachable range [-Σw, Σw]
     val y = Array(0.0, 0.0)
     val w = Array(1.0, 1.0)
-    val ex = exact1D(y, w, 5.0, 6.0) // unreachable: max <w,x> = 2
+    val ex = ExactProjection(y, Array(w), Array(5.0), Array(6.0)) // unreachable: max <w,x> = 2
     assert(inBox(ex, 1e-9))
     assert(math.abs(dot(w, ex) - 2.0) < 1e-6) // pushed to the extreme point
   }
 
   test("exact1D with all-zero weights returns the clipped point") {
     val y = Array(2.0, -0.5)
-    val ex = exact1D(y, Array(0.0, 0.0), -0.1, 0.1)
+    val ex = ExactProjection(y, Array(Array(0.0, 0.0)), Array(-0.1), Array(0.1))
     assert(ex.toSeq == Seq(1.0, -0.5))
+  }
+
+  test("identical rows with disjoint intervals: a point in the box within the pass budget") {
+    // No point meets both slabs, so the dual is unbounded and every pass is spent.
+    val rng = new Random(7100)
+    val y = Array.fill(30)(rng.nextDouble() * 4 - 2)
+    val w = Array.fill(30)(0.2 + rng.nextDouble())
+    val ws = Array(w, w)
+    val (lambda, passes) = GDKernel.exactCoefficients(ws, new Array[Boolean](30), y, new Array[Double](30), 0.0,
+      Array(-0.3 * w.sum, 0.1 * w.sum), Array(-0.1 * w.sum, 0.3 * w.sum), maxPasses = 40)
+    assert(passes <= 40)
+    assert(inBox(ExactProjection.at(y, ws, lambda), 0.0))
   }
 
   // ---- hand-verifiable cases ----
   test("1D: projecting (1,1) onto balance 0 with unit weights gives (0,0)... shifted") {
     // y = (1, 1), w = (1, 1), slab = {x1 + x2 = 0}: projection is (0, 0)
-    val ex = exact1D(Array(1.0, 1.0), Array(1.0, 1.0), 0.0, 0.0)
+    val ex = ExactProjection(Array(1.0, 1.0), Array(Array(1.0, 1.0)), Array(0.0), Array(0.0))
     assert(dist(ex, Array(0.0, 0.0)) < 1e-6)
   }
 
   test("1D: box binds before the plane") {
     // y = (3, -1), w = (1, 1), target 0: unconstrained plane proj = (2, -2)
     // but box forces (1, -1), which satisfies the plane.
-    val ex = exact1D(Array(3.0, -1.0), Array(1.0, 1.0), 0.0, 0.0)
+    val ex = ExactProjection(Array(3.0, -1.0), Array(Array(1.0, 1.0)), Array(0.0), Array(0.0))
     assert(dist(ex, Array(1.0, -1.0)) < 1e-6)
   }
 
@@ -197,8 +225,8 @@ class ProjectionsSpec extends AnyFunSuite {
     val y = Array.fill(n)(rng.nextDouble() * 4 - 2)
     val w = Array.fill(n)(0.2 + rng.nextDouble())
     val lo = -0.05 * w.sum; val hi = 0.05 * w.sum
-    val e1 = exact1D(y, w, lo, hi)
-    val e2 = exact2D(y, w, w, lo, hi, lo, hi)
+    val e1 = ExactProjection(y, Array(w), Array(lo), Array(hi))
+    val e2 = ExactProjection(y, Array(w, w), Array(lo, lo), Array(hi, hi))
     assert(math.abs(dist(e1, y) - dist(e2, y)) < 1e-5)
   }
 }
