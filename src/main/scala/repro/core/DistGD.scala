@@ -1,7 +1,7 @@
 package repro.core
 
-import org.apache.spark.HashPartitioner
-import org.apache.spark.rdd.RDD
+import org.apache.spark.{Aggregator, HashPartitioner}
+import org.apache.spark.rdd.{RDD, ShuffledRDD}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.graphs.GraphOps
@@ -21,7 +21,9 @@ import scala.reflect.ClassTag
   * (the map-side combine), the shuffle delivers the batches, whose sums
   * make `grad = A·z` — the `O(|E|/m)` mat-vec of Theorem 1.1 — and one
   * reduction returns the kernel's step statistics. The step itself is a
-  * lazy narrow map that the next job runs.
+  * lazy narrow map that the next job runs. After rounding and repair, one
+  * more such pass with `z = s = 2·part − 1` caches the final parts and sums
+  * `sᵀAs = 2·(uncut − cut)`, from which the reported locality is exact.
   *
   * Why RDDs: a DataFrame loop ran about ten jobs per iteration. Even with
   * the state co-partitioned with the edges and one checkpoint fewer, it ran
@@ -40,8 +42,12 @@ object DistGD {
 
   /** Result of a distributed run.
     *
-    * @param assign      (id, part) assignment, part ∈ {0, 1}
-    * @param locality    fraction of uncut edges
+    * @param assign      (id, part) assignment, part ∈ {0, 1}, read from the
+    *                    per-block arrays that the call leaves cached; Spark's
+    *                    context cleaner releases them once `assign` is
+    *                    unreachable (`assign.unpersist()` does not)
+    * @param locality    fraction of uncut edges, computed on the blocks
+    *                    (1.0 for an empty edge list)
     * @param imbalances  per-dimension |Σ w_j s| / W_j of the rounded solution
     * @param iterations  GD iterations actually executed
     */
@@ -163,16 +169,22 @@ object DistGD {
     }
     GDKernel.repair(sums, W, cfg.eps, candidates, id => if (!flips.remove(id)) flips += id)
 
-    import spark.implicits._
+    // One message pass of s = 2·part − 1 caches the final (ids, parts) and
+    // returns sᵀAs = 2·(uncut − cut) and the D directed adjacency entries.
     val flipped = flips.toSet
-    val assign = blocks.zipPartitions(sided)((bs, ps) => {
-      val b = bs.next(); val p = ps.next()
-      b.ids.iterator.zip(p.iterator).map { case (id, side) => (id, if (flipped(id)) 1 - side else side) }
-    }).toDF("id", "part").persist()
-    assign.count()
-    releaseAllBut(null)
+    val assigned = keep(perBlock(blocks, sided)((b, p) =>
+      (b.ids, Array.tabulate(p.length)(i => if (flipped(b.ids(i))) 1 - p(i) else p(i)))))
+    val spins = (p: (Array[Long], Array[Int])) => p._2.map(2.0 * _ - 1)
+    val messages = gather(blocks.zipPartitions(assigned)((bs, ps) => sendSums(bs.next(), spins(ps.next()))), part)
+    val Array(sAs, entries) = sumUp(blocks.zipPartitions(assigned, messages)((bs, ps, ms) => {
+      val b = bs.next(); val s = spins(ps.next()); val grad = gradient(b, ms)
+      Iterator(Array(s.indices.map(i => s(i) * grad(i)).sum, b.offsets.last.toDouble))
+    }))
+    releaseAllBut(assigned)
     blocks.unpersist()
-    val locality = GraphOps.edgeLocality(edges, assign)
+    import spark.implicits._
+    val assign = assigned.flatMap(p => p._1.iterator.zip(p._2.iterator)).toDF("id", "part")
+    val locality = if (entries == 0) 1.0 else (sAs + entries) / (2 * entries)
     Result(assign, locality, GDKernel.imbalances(sums, W), iterations)
   }
 
@@ -180,11 +192,14 @@ object DistGD {
   private def perBlock[T: ClassTag, U: ClassTag](blocks: RDD[Block], rdd: RDD[T])(f: (Block, T) => U): RDD[U] =
     blocks.zipPartitions(rdd)((bs, ts) => Iterator(f(bs.next(), ts.next())))
 
-  /** The blocks of the symmetrized edge list, hash-partitioned by source. */
+  /** The blocks of the symmetrized edge list, hash-partitioned by source.
+    * The edges are read as the plan's internal rows: `Dataset.rdd` would
+    * start a SQL execution of its own.
+    */
   private def buildBlocks(edges: DataFrame, weightOf: Seq[Int => Double],
                           part: HashPartitioner): RDD[Block] = {
     val m = part.numPartitions
-    val batches = edges.select(col("src").cast("long"), col("dst").cast("long")).rdd
+    val batches = edges.select(col("src").cast("long"), col("dst").cast("long")).queryExecution.toRdd
       .mapPartitions { rows =>
         val src = Array.fill(m)(Array.newBuilder[Long])
         val dst = Array.fill(m)(Array.newBuilder[Long])
@@ -202,10 +217,13 @@ object DistGD {
     * combine makes Spark write one shuffle file per map task; a plain
     * `partitionBy` writes one per (map task, block) pair, which took
     * 1.1 s instead of 0.33 s for 64 × 64 one-value messages (4 cores).
+    * The aggregator is `combineByKey`'s, minus its three closure-cleaner
+    * passes: they took 2.7 of the 3.8 ms the driver spent here per GD
+    * iteration (FB-lite-13, 8 blocks, 4 cores).
     */
   private def gather[V: ClassTag](sent: RDD[(Int, V)], part: HashPartitioner): RDD[V] =
-    sent.combineByKey[List[V]]((v: V) => List(v), (l: List[V], v: V) => v :: l,
-      (a: List[V], b: List[V]) => a ::: b, part).flatMap(_._2)
+    new ShuffledRDD[Int, V, List[V]](sent, part).setMapSideCombine(true)
+      .setAggregator(Aggregator[Int, V, List[V]](List(_), (l, v) => v :: l, _ ::: _)).flatMap(_._2)
 
   private def block(batches: Seq[Edges], weightOf: Seq[Int => Double], part: HashPartitioner): Block = {
     val src = Array.concat(batches.map(_.src): _*)

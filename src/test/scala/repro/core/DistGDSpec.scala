@@ -2,17 +2,27 @@ package repro.core
 
 import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.ListenerBusDrain
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart}
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.graphs.{GraphGen, GraphOps, LocalGraph}
 
 /** Distributed GD: balance, quality, agreement with the in-core reference,
-  * and the number of Spark jobs a GD iteration costs.
+  * the reported locality against the DataFrame oracle, and what a call
+  * costs in Spark jobs, SQL executions and cached RDDs.
   */
 class DistGDSpec extends SparkSpec {
 
   private val cfg = GDConfig(eps = 0.05, iterations = 30, seed = 5)
+
+  /** `body` with `m` blocks instead of the suite's shuffle partitions. */
+  private def withBlocks[T](m: Int)(body: => T): T = {
+    val partitions = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", m.toString)
+    try body finally spark.conf.set("spark.sql.shuffle.partitions", partitions)
+  }
 
   test("planted bisection: balanced and far better than hash") {
     val g = GraphGen.plantedBisection(150, 0.12, 0.01, seed = 41)
@@ -63,10 +73,7 @@ class DistGDSpec extends SparkSpec {
       val c = cfg.copy(vertexFixing = fixing)
       val local = LocalGD.bipartition(g, Weights.localAll(g, specs), c)
       val edges = GraphGen.toDF(spark, g).persist()
-      val partitions = spark.conf.get("spark.sql.shuffle.partitions")
-      spark.conf.set("spark.sql.shuffle.partitions", "4")
-      val dist = try DistGD.bipartition(spark, edges, specs, c)
-        finally spark.conf.set("spark.sql.shuffle.partitions", partitions)
+      val dist = withBlocks(4)(DistGD.bipartition(spark, edges, specs, c))
       val parts = dist.assign.collect().map(r => r.getLong(0).toInt -> r.getInt(1)).toMap
       assert(dist.iterations == local.iterations)
       assert(parts.size == g.n)
@@ -100,6 +107,72 @@ class DistGDSpec extends SparkSpec {
     val (jobs20, iters20) = run(20)
     assert(iters10 == 10 && iters20 == 20)
     assert(jobs20 - jobs10 <= 2 * (iters20 - iters10), s"$jobs10 jobs for I = 10, $jobs20 for I = 20")
+    edges.unpersist()
+  }
+
+  // The blocks count every edge from both ends, so sᵀAs and the entry count
+  // are exact integers and the locality is uncut/total to the last bit. It
+  // holds for any assignment; five iterations keep 64 blocks cheap.
+  private val short = cfg.copy(iterations = 5)
+  private lazy val oracleGraphs: Map[String, () => DataFrame] = Map(
+    "planted" -> (() => GraphGen.toDF(spark, GraphGen.plantedBisection(150, 0.12, 0.01, seed = 41))),
+    "RMAT scale 8" -> (() => GraphGen.toDF(spark, GraphGen.rmatLocal(8, 4, seed = 42))),
+    "RMAT scale 8, ids 1000·i + 7" -> (() => GraphGen.toDF(spark, GraphGen.rmatLocal(8, 4, seed = 42))
+      .select((col("src") * 1000 + 7) as "src", (col("dst") * 1000 + 7) as "dst")))
+
+  for (graph <- oracleGraphs.keys.toSeq.sorted; m <- Seq(4, 64)) {
+    test(s"reported locality equals the DataFrame oracle: $graph, $m blocks") {
+      val edges = oracleGraphs(graph)().persist()
+      val res = withBlocks(m)(DistGD.bipartition(spark, edges, Seq(Weights.Unit, Weights.Degree), short))
+      assert(res.locality == GraphOps.edgeLocality(edges, res.assign))
+      edges.unpersist()
+    }
+  }
+
+  test("empty edge list: empty assignment, no iterations, locality 1") {
+    val edges = GraphGen.toDF(spark, GraphGen.path(10)).where(lit(false))
+    val res = DistGD.bipartition(spark, edges, Seq(Weights.Unit, Weights.Degree), cfg)
+    assert(res.assign.count() == 0)
+    assert(res.iterations == 0)
+    assert(res.locality == 1.0)
+    assert(res.imbalances.forall(_ == 0.0))
+  }
+
+  test("a call on a persisted edge list starts no Spark SQL execution") {
+    val edges = GraphGen.toDF(spark, GraphGen.plantedBisection(60, 0.2, 0.02, seed = 46)).persist()
+    edges.count()
+    val sc = spark.sparkContext
+    val executions = new AtomicInteger
+    val listener = new SparkListener {
+      override def onOtherEvent(e: SparkListenerEvent): Unit = e match {
+        case _: SparkListenerSQLExecutionStart => executions.incrementAndGet()
+        case _ =>
+      }
+    }
+    sc.addSparkListener(listener)
+    try {
+      val res = DistGD.bipartition(spark, edges, Seq(Weights.Unit), short)
+      ListenerBusDrain(sc)
+      assert(executions.get == 0, s"${executions.get} SQL executions")
+      // The listener does see SQL: reading the assignment is one.
+      res.assign.count()
+      ListenerBusDrain(sc)
+      assert(executions.get > 0)
+    } finally sc.removeSparkListener(listener)
+    edges.unpersist()
+  }
+
+  test("a call leaves only the assignment's own data cached") {
+    val edges = GraphGen.toDF(spark, GraphGen.rmatLocal(8, 4, seed = 42)).persist()
+    edges.count()
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    val res = DistGD.bipartition(spark, edges, Seq(Weights.Unit), short)
+    val added = sc.getPersistentRDDs.filter { case (id, _) => !before(id) }.values.toSeq
+    assert(added.size == 1, s"${added.size} RDDs left cached")
+    val cached = added.head.collect().flatMap { case (ids: Array[Long], parts: Array[Int]) => ids.zip(parts) }
+    val rows = res.assign.collect().map(r => (r.getLong(0), r.getInt(1)))
+    assert(cached.sorted.toSeq == rows.sorted.toSeq)
     edges.unpersist()
   }
 
