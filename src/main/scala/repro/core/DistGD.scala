@@ -97,8 +97,7 @@ object DistGD {
     def keep[T](rdd: RDD[T]): RDD[T] = { kept += rdd; rdd.localCheckpoint() }
     def releaseAllBut(current: RDD[_]): Unit =
       kept.filterInPlace(r => (r eq current) || { r.unpersist(blocking = false); false })
-    def sumUp(parts: RDD[Array[Double]]): Array[Double] =
-      parts.collect().reduce((a, b) => Array.tabulate(a.length)(i => a(i) + b(i)))
+    def sumUp(parts: RDD[Array[Double]]): Array[Double] = GDKernel.sumInOrder(parts.collect())
 
     val totals = sumUp(blocks.map(b => b.ids.length.toDouble +: b.w.map(_.sum)))
     val n = totals(0).toLong
@@ -122,7 +121,7 @@ object DistGD {
           Iterator(Step(s, point(b, s), gradient(b, ms)))
         }))
         val v = sumUp(perBlock(blocks, current)((b, p) =>
-          GDKernel.stats(b.w, p.s.x, p.s.fixed, p.z, p.grad, p.s.stepSq)))
+          GDKernel.stats(b.w, p.s.x, p.s.fixed, p.z, p.grad, p.s.stepSq, 0, p.z.length)))
         releaseAllBut(current)
         state = keep(current.map(_.s))
         v
@@ -133,12 +132,12 @@ object DistGD {
         state = keep(perBlock(blocks, current) { (b, p) =>
           val x = new Array[Double](b.ids.length)
           val fixed = new Array[Boolean](b.ids.length)
-          State(x, fixed, GDKernel.step(b.w, p.s.x, p.s.fixed, p.z, p.grad, gamma, alpha, fixAt, x, fixed))
+          State(x, fixed, GDKernel.step(b.w, p.s.x, p.s.fixed, p.z, p.grad, gamma, alpha, fixAt, x, fixed, 0, x.length))
         })
       }
 
       def slabStats(): Array[Double] = {
-        val v = sumUp(perBlock(blocks, state)((b, s) => GDKernel.slabStats(b.w, s.x, s.fixed)))
+        val v = sumUp(perBlock(blocks, state)((b, s) => GDKernel.slabStats(b.w, s.x, s.fixed, 0, s.x.length)))
         releaseAllBut(state)
         v
       }
@@ -146,7 +145,7 @@ object DistGD {
       def shift(alpha: Array[Double]): Unit =
         state = keep(perBlock(blocks, state) { (b, s) =>
           val x = new Array[Double](b.ids.length)
-          GDKernel.shift(b.w, s.x, s.fixed, alpha, x)
+          GDKernel.shift(b.w, s.x, s.fixed, alpha, x, 0, x.length)
           s.copy(x = x)
         })
     }, n, W, cfg)

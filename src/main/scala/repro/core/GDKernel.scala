@@ -9,8 +9,10 @@ import repro.SplitMix.mix
   *
   * The driver ([[run]]) sees the vertices only through [[Blocks]].
   * [[LocalGD]] holds them as one block of arrays, [[DistGD]] as an RDD of
-  * blocks; both apply the per-block operations below, so they take the
-  * same steps and draws, up to the order in which sums are added.
+  * blocks; both apply the per-block operations below, each to a row range
+  * `[lo, hi)` of a block's arrays (a `LocalGD` chunk of rows, or a whole
+  * `DistGD` block), so they take the same steps and draws, up to the order
+  * in which the ranges' sums are added.
   *
   * The one-shot projection is solved in closed form: projecting
   * `y = z + γ·grad` onto the planes `⟨w_j, y⟩ = −F_j` one after another
@@ -28,11 +30,9 @@ object GDKernel {
     def stepStats(noise: Double): Array[Double]
     /** [[step]] from the last `z` and `grad`. */
     def step(gamma: Double, alpha: Array[Double]): Unit
-    /** [[stats]] of `x` itself, with a zero gradient. */
+    /** [[slabStats]] of `x`. */
     def slabStats(): Array[Double]
-    /** [[step]] from `x` with a zero gradient and no fixing: one
-      * alternating-projection pass.
-      */
+    /** [[shift]] of `x`: one alternating-projection pass. */
     def shift(alpha: Array[Double]): Unit
   }
 
@@ -59,17 +59,18 @@ object GDKernel {
 
   // ---- Per-block operations ----
 
-  /** Over free vertices `‖grad‖²`, `S`, `T` and the Gram upper triangle,
-    * over fixed vertices `F`, then the free count and `stepSq`, the squared
-    * length of the step that produced `x`.
+  /** Over the free vertices in `[lo, hi)` `‖grad‖²`, `S`, `T` and the Gram
+    * upper triangle, over the fixed ones `F`, then the free count and
+    * `stepSq`, the squared length of the step that produced `x` there. Reads
+    * `grad` of free vertices only.
     */
   def stats(w: Array[Array[Double]], x: Array[Double], fixed: Array[Boolean],
-            z: Array[Double], grad: Array[Double], stepSq: Double): Array[Double] = {
+            z: Array[Double], grad: Array[Double], stepSq: Double, lo: Int, hi: Int): Array[Double] = {
     val d = w.length
     val f = fixedAt(d)
     val v = new Array[Double](freeAt(d) + 2)
-    var i = 0
-    while (i < x.length) {
+    var i = lo
+    while (i < hi) {
       var j = 0
       if (fixed(i)) {
         while (j < d) { v(f + j) += w(j)(i) * x(i); j += 1 }
@@ -92,21 +93,27 @@ object GDKernel {
     v
   }
 
-  /** [[stats]] of `x` with a zero gradient. */
-  def slabStats(w: Array[Array[Double]], x: Array[Double], fixed: Array[Boolean]): Array[Double] =
-    stats(w, x, fixed, x, new Array[Double](x.length), 0.0)
+  /** [[stats]] of `x` in `[lo, hi)` with a zero gradient. */
+  def slabStats(w: Array[Array[Double]], x: Array[Double], fixed: Array[Boolean],
+                lo: Int, hi: Int): Array[Double] = {
+    val v = stats(w, x, fixed, x, x, 0.0, lo, hi)
+    v(0) = 0.0 // ‖grad‖² and T of a zero gradient
+    java.util.Arrays.fill(v, 1 + w.length, gramAt(w.length), 0.0)
+    v
+  }
 
-  /** Moves every free vertex to `clip(z + γ·grad − Σ_j α_j·w_j)` and fixes
-    * it at its sign if `|x| ≥ fixAt`; fixed vertices stay. Writes `xOut`
-    * and `fixedOut`, which may be `x` and `fixed`. Returns the squared
-    * step length over the vertices that were free, measured before fixing.
+  /** Moves every free vertex in `[lo, hi)` to `clip(z + γ·grad − Σ_j α_j·w_j)`
+    * and fixes it at its sign if `|x| ≥ fixAt`; fixed vertices stay. Writes
+    * `xOut` and `fixedOut`, which may be `x` and `fixed`. Returns the
+    * squared step length over the vertices that were free, measured before
+    * fixing.
     */
   def step(w: Array[Array[Double]], x: Array[Double], fixed: Array[Boolean],
            z: Array[Double], grad: Array[Double], gamma: Double, alpha: Array[Double],
-           fixAt: Double, xOut: Array[Double], fixedOut: Array[Boolean]): Double = {
+           fixAt: Double, xOut: Array[Double], fixedOut: Array[Boolean], lo: Int, hi: Int): Double = {
     var sq = 0.0
-    var i = 0
-    while (i < x.length) {
+    var i = lo
+    while (i < hi) {
       if (fixed(i)) { xOut(i) = x(i); fixedOut(i) = true }
       else {
         var y = z(i) + gamma * grad(i)
@@ -232,12 +239,16 @@ object GDKernel {
     Array.tabulate(d)(k => a(k)(d) / a(k)(k) * sc(k))
   }
 
-  /** [[step]] from `x` with a zero gradient and no fixing, so `fixed`
-    * keeps its values.
+  /** [[step]] from `x` in `[lo, hi)` with a zero gradient and no fixing, so
+    * `fixed` keeps its values.
     */
   def shift(w: Array[Array[Double]], x: Array[Double], fixed: Array[Boolean],
-            alpha: Array[Double], xOut: Array[Double]): Unit =
-    step(w, x, fixed, x, x, 0.0, alpha, Double.PositiveInfinity, xOut, fixed)
+            alpha: Array[Double], xOut: Array[Double], lo: Int, hi: Int): Unit =
+    step(w, x, fixed, x, x, 0.0, alpha, Double.PositiveInfinity, xOut, fixed, lo, hi)
+
+  /** The sum of the vectors of the ranges, added in range order. */
+  def sumInOrder(parts: Array[Array[Double]]): Array[Double] =
+    parts.reduceLeft((a, b) => Array.tabulate(a.length)(k => a(k) + b(k)))
 
   /** `Σ_i w_j(i)·(2·side_i − 1)` per dimension. */
   def sideSums(w: Array[Array[Double]], side: Array[Int]): Array[Double] = w.map { wj =>

@@ -1,6 +1,6 @@
 package repro.core
 
-import java.util.concurrent.RecursiveAction
+import java.util.stream.IntStream
 import repro.graphs.LocalGraph
 import scala.collection.mutable.ArrayBuffer
 
@@ -63,105 +63,146 @@ final case class GDResult(
   * with the mat-vec over the CSR graph. It also runs the exact projection,
   * which only it supports. Used for the many-configuration quality sweeps
   * and as the reference for [[DistGD]].
+  *
+  * Every per-vertex pass of a call runs on the same chunks of rows, in
+  * parallel on the fork-join pool of the calling thread (the JVM's common
+  * pool outside one). The chunks come from the CSR alone ([[chunks]]). Each
+  * chunk's sums are kept apart and added on the caller in chunk order, so
+  * the result depends on the graph, never on the number of threads.
   */
 object LocalGD {
 
-  /** Sparse mat-vec: out(u) = Σ_{v ∈ N(u)} z(v) — the gradient A·z.
-    *
-    * Row ranges of about equal adjacency length (RMAT puts its hubs at low
-    * ids) run in parallel on the JVM's common fork-join pool; a range whose
-    * work is below `MatvecGrain` runs on the calling thread. Each out(u) is
-    * summed over N(u) in CSR order, so the result is bit-identical to a
-    * sequential loop.
+  /** Sparse mat-vec: out(u) = Σ_{v ∈ N(u)} z(v) — the gradient A·z. The
+    * chunks run in parallel; each out(u) is summed over N(u) in CSR order,
+    * so the result is bit-identical to a sequential loop.
     */
   def matvec(g: LocalGraph, z: Array[Double]): Array[Double] = {
     val out = new Array[Double](g.n)
-    new MatvecRows(g, z, out, 0, g.n).compute()
+    val noneFixed = new Array[Boolean](g.n)
+    eachChunk(chunks(g))((_, lo, hi) => rowSums(g, z, noneFixed, out, lo, hi))
     out
   }
 
-  /** Adjacency entries plus rows below which a row range is not split. */
-  private val MatvecGrain = 1 << 15
-
-  private final class MatvecRows(g: LocalGraph, z: Array[Double], out: Array[Double], lo: Int, hi: Int)
-      extends RecursiveAction {
-    private def work(u: Int): Long = g.offsets(u).toLong + u // increasing in u
-
-    def compute(): Unit =
-      if (hi - lo < 2 || work(hi) - work(lo) <= MatvecGrain) {
-        var u = lo
-        while (u < hi) {
-          var s = 0.0
-          var i = g.offsets(u)
-          val end = g.offsets(u + 1)
-          while (i < end) { s += z(g.adj(i)); i += 1 }
-          out(u) = s
-          u += 1
-        }
-      } else { // split at the first row in (lo, hi) where half the work is done
-        val half = (work(lo) + work(hi)) / 2
-        var a = lo + 1
-        var b = hi - 1
-        while (a < b) { val c = (a + b) >>> 1; if (work(c) < half) a = c + 1 else b = c }
-        val right = new MatvecRows(g, z, out, a, hi)
-        right.fork()
-        new MatvecRows(g, z, out, lo, a).compute()
-        right.join()
-      }
+  /** Chunk boundaries `0 = b(0) < b(1) < … < b(c) = n`: chunk `i` is rows
+    * `[b(i), b(i + 1))`. A chunk closes at the first row where its work,
+    * adjacency entries plus rows, reaches 2^15 (RMAT puts its hubs at low
+    * ids, so rows alone would not balance).
+    */
+  private[core] def chunks(g: LocalGraph): Array[Int] = {
+    val bounds = Array.newBuilder[Int] += 0
+    var lo = 0
+    for (u <- 1 until g.n if (g.offsets(u) - g.offsets(lo)).toLong + (u - lo) >= (1 << 15)) { bounds += u; lo = u }
+    (bounds += g.n).result()
   }
 
-  /** Balanced 2-partition of `g` under weight vectors `ws` (d × n). */
-  def bipartition(g: LocalGraph, ws: Array[Array[Double]], cfg: GDConfig): GDResult = {
-    val n = g.n
-    val d = ws.length
-    require(d >= 1, "need at least one weight dimension")
-    val W = ws.map(_.sum)
-    val x = new Array[Double](n)
-    val fixed = new Array[Boolean](n)
-    val fixAt = GDKernel.fixAt(cfg)
+  /** `f(c, lo, hi)` for every chunk `c = [lo, hi)` of `bounds`, in parallel
+    * on the fork-join pool of the calling thread (a parallel stream runs
+    * there); returns once all are done.
+    */
+  private def eachChunk(bounds: Array[Int])(f: (Int, Int, Int) => Unit): Unit =
+    IntStream.range(0, bounds.length - 1).parallel().forEach(c => f(c, bounds(c), bounds(c + 1)))
+
+  /** `out(u) = Σ_{v ∈ N(u)} z(v)` in CSR order for the rows `u` in `[lo, hi)`
+    * that are not fixed; fixed rows keep their `out`.
+    */
+  private def rowSums(g: LocalGraph, z: Array[Double], fixed: Array[Boolean],
+                      out: Array[Double], lo: Int, hi: Int): Unit = {
+    var u = lo
+    while (u < hi) {
+      if (!fixed(u)) {
+        var s = 0.0
+        var i = g.offsets(u)
+        val end = g.offsets(u + 1)
+        while (i < end) { s += z(g.adj(i)); i += 1 }
+        out(u) = s
+      }
+      u += 1
+    }
+  }
+
+  /** The [[GDKernel.Blocks]] of a call on `g`, over its [[chunks]]. `x`
+    * and `fixed` are the state; the gradient is computed for free rows
+    * only, into one buffer for the whole call.
+    */
+  private[core] final class Chunked(g: LocalGraph, ws: Array[Array[Double]], cfg: GDConfig)
+      extends GDKernel.Blocks {
+    val bounds: Array[Int] = chunks(g)
+    val x = new Array[Double](g.n)
+    val fixed = new Array[Boolean](g.n)
+    private val d = ws.length
+    private val W = ws.map(_.sum)
+    private val fixAt = GDKernel.fixAt(cfg)
+    private val grad = new Array[Double](g.n)
+    private var z = x
+    private var stats = Array.emptyDoubleArray
+    private val partStats = new Array[Array[Double]](bounds.length - 1)
+    /** The squared length of each chunk's part of the last step. */
+    private val partSq = new Array[Double](bounds.length - 1)
     val traceRows = ArrayBuffer.empty[GDTraceRow]
+
+    def stepStats(noise: Double): Array[Double] = {
+      if (noise != 0.0) {
+        z = new Array[Double](g.n)
+        eachChunk(bounds)((_, lo, hi) => for (i <- lo until hi) z(i) = x(i) + noise * GDKernel.gauss(cfg.seed, i))
+      } else z = x
+      eachChunk(bounds) { (c, lo, hi) =>
+        rowSums(g, z, fixed, grad, lo, hi)
+        partStats(c) = GDKernel.stats(ws, x, fixed, z, grad, partSq(c), lo, hi)
+      }
+      stats = GDKernel.sumInOrder(partStats)
+      stats
+    }
+
+    /** Exact: `α` from the slabs shifted by the fixed vertices' weight `F`. */
+    def step(gamma: Double, alpha: Array[Double]): Unit = {
+      val a = if (cfg.projection == ProjectionMethod.OneShot) alpha else {
+        val f = GDKernel.fixedWeight(stats, d)
+        GDKernel.exactCoefficients(ws, fixed, z, grad, gamma,
+          Array.tabulate(d)(j => -cfg.eps * W(j) - f(j)), Array.tabulate(d)(j => cfg.eps * W(j) - f(j)))._1
+      }
+      eachChunk(bounds)((c, lo, hi) => partSq(c) = GDKernel.step(ws, x, fixed, z, grad, gamma, a, fixAt, x, fixed, lo, hi))
+      if (cfg.trace) traceRows += traceRow(traceRows.length)
+    }
+
+    def slabStats(): Array[Double] = {
+      eachChunk(bounds)((c, lo, hi) => partStats(c) = GDKernel.slabStats(ws, x, fixed, lo, hi))
+      GDKernel.sumInOrder(partStats)
+    }
+
+    def shift(alpha: Array[Double]): Unit =
+      eachChunk(bounds)((_, lo, hi) => GDKernel.shift(ws, x, fixed, alpha, x, lo, hi))
+
+    /** The rounded sides of `x` (§3.1), drawn per chunk. */
+    def sides(): Array[Int] = {
+      val side = new Array[Int](g.n)
+      eachChunk(bounds)((_, lo, hi) => for (i <- lo until hi) side(i) = GDKernel.side(cfg.seed, i, x(i), fixed(i)))
+      side
+    }
+
+    /** Fraction of uncut edges under `side`, counted per chunk. */
+    def locality(side: Array[Int]): Double = {
+      val uncut = new Array[Long](bounds.length - 1)
+      eachChunk(bounds)((c, lo, hi) => uncut(c) = g.uncutEdges(side, lo, hi))
+      g.locality(uncut.sum)
+    }
 
     def imbalances(side: Array[Int]): Array[Double] = GDKernel.imbalances(GDKernel.sideSums(ws, side), W)
 
     /** Locality and the largest imbalance of the sign rounding of x. */
-    def traceRow(t: Int): GDTraceRow = {
+    private def traceRow(t: Int): GDTraceRow = {
       val signSide = x.map(v => if (v >= 0) 1 else 0)
       GDTraceRow(t, g.edgeLocality(signSide), imbalances(signSide).max)
     }
+  }
 
-    val blocks = new GDKernel.Blocks {
-      private var z = x
-      private var grad = x
-      private var stats = Array.emptyDoubleArray
-      private var stepSq = 0.0
-
-      def stepStats(noise: Double): Array[Double] = {
-        z = if (noise == 0.0) x else Array.tabulate(n)(i => x(i) + noise * GDKernel.gauss(cfg.seed, i))
-        grad = matvec(g, z)
-        stats = GDKernel.stats(ws, x, fixed, z, grad, stepSq)
-        stats
-      }
-
-      /** Exact: `α` from the slabs shifted by the fixed vertices' weight `F`. */
-      def step(gamma: Double, alpha: Array[Double]): Unit = {
-        val a = if (cfg.projection == ProjectionMethod.OneShot) alpha else {
-          val f = GDKernel.fixedWeight(stats, d)
-          GDKernel.exactCoefficients(ws, fixed, z, grad, gamma,
-            Array.tabulate(d)(j => -cfg.eps * W(j) - f(j)), Array.tabulate(d)(j => cfg.eps * W(j) - f(j)))._1
-        }
-        stepSq = GDKernel.step(ws, x, fixed, z, grad, gamma, a, fixAt, x, fixed)
-        if (cfg.trace) traceRows += traceRow(traceRows.length)
-      }
-
-      def slabStats(): Array[Double] = GDKernel.slabStats(ws, x, fixed)
-
-      def shift(alpha: Array[Double]): Unit = GDKernel.shift(ws, x, fixed, alpha, x)
-    }
-
-    val iterations = GDKernel.run(blocks, n, W, cfg)
-    val side = Array.tabulate(n)(i => GDKernel.side(cfg.seed, i, x(i), fixed(i)))
-    Rounding.repair(side, x, ws, cfg.eps)
-    GDResult(x, side, g.edgeLocality(side), imbalances(side), traceRows.toSeq, iterations)
+  /** Balanced 2-partition of `g` under weight vectors `ws` (d × n). */
+  def bipartition(g: LocalGraph, ws: Array[Array[Double]], cfg: GDConfig): GDResult = {
+    require(ws.length >= 1, "need at least one weight dimension")
+    val b = new Chunked(g, ws, cfg)
+    val iterations = GDKernel.run(b, g.n, ws.map(_.sum), cfg)
+    val side = b.sides()
+    Rounding.repair(side, b.x, ws, cfg.eps)
+    GDResult(b.x, side, b.locality(side), b.imbalances(side), b.traceRows.toSeq, iterations)
   }
 }
 

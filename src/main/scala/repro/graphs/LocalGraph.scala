@@ -39,11 +39,13 @@ final class LocalGraph(val n: Int, val offsets: Array[Int], val adj: Array[Int])
     b.result()
   }
 
-  /** Number of edges with both endpoints in the same part of `assign`. */
-  def uncutEdges(assign: Array[Int]): Long = {
+  /** Number of edges with both endpoints in the same part of `assign`,
+    * counted at their smaller endpoint, for the rows `[lo, hi)`.
+    */
+  def uncutEdges(assign: Array[Int], lo: Int = 0, hi: Int = n): Long = {
     var cnt = 0L
-    var u = 0
-    while (u < n) {
+    var u = lo
+    while (u < hi) {
       var i = offsets(u)
       val end = offsets(u + 1)
       while (i < end) {
@@ -57,8 +59,10 @@ final class LocalGraph(val n: Int, val offsets: Array[Int], val adj: Array[Int])
   }
 
   /** Fraction of edges with both endpoints in the same part. */
-  def edgeLocality(assign: Array[Int]): Double =
-    if (numEdges == 0) 1.0 else uncutEdges(assign).toDouble / numEdges
+  def edgeLocality(assign: Array[Int]): Double = locality(uncutEdges(assign))
+
+  /** Fraction of edges that `uncut` of them are; 1 for an edgeless graph. */
+  def locality(uncut: Long): Double = if (numEdges == 0) 1.0 else uncut.toDouble / numEdges
 
   /** Induced subgraph on `keep` (a 0/1 membership mask); returns the
     * subgraph together with the increasing map from new vertex ids to

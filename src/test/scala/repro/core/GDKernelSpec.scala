@@ -13,7 +13,7 @@ class GDKernelSpec extends AnyFunSuite {
     def stepStats(noise: Double): Array[Double] = ???
     def step(gamma: Double, alpha: Array[Double]): Unit = ???
     def slabStats(): Array[Double] =
-      GDKernel.slabStats(Array(Array.fill(10)(1.0)), Array.fill(10)(1.0), Array.tabulate(10)(_ >= free))
+      GDKernel.slabStats(Array(Array.fill(10)(1.0)), Array.fill(10)(1.0), Array.tabulate(10)(_ >= free), 0, 10)
     def shift(alpha: Array[Double]): Unit = shifts += 1
   }
 

@@ -175,8 +175,10 @@ class LocalGDSpec extends AnyFunSuite {
       s
     }
 
+  private lazy val rmat14 = GraphGen.rmatLocal(14, 8, seed = 85)
+
   for ((name, g) <- Seq(
-      "RMAT scale 14" -> GraphGen.rmatLocal(14, 8, seed = 85),
+      "RMAT scale 14" -> rmat14,
       "n = 0" -> repro.graphs.LocalGraph.fromEdges(0, Array.empty),
       "n = 1" -> repro.graphs.LocalGraph.fromEdges(1, Array.empty),
       "edgeless" -> repro.graphs.LocalGraph.fromEdges(50, Array.empty))) {
@@ -186,5 +188,49 @@ class LocalGDSpec extends AnyFunSuite {
       val z = Array.fill(g.n)(rng.nextGaussian() * math.exp(10 * rng.nextGaussian()))
       assert(LocalGD.matvec(g, z).sameElements(matvecReference(g, z)))
     }
+  }
+
+  test("bipartition is bit-identical on 1 and 4 threads (RMAT scale 14, several chunks)") {
+    assert(LocalGD.chunks(rmat14).length > 2)
+    val ws = wsFor(rmat14, Seq(Weights.Unit, Weights.Degree))
+    val cfg = GDConfig(eps = 0.03, seed = 87)
+    val one = InPool(1)(LocalGD.bipartition(rmat14, ws, cfg))
+    val four = InPool(4)(LocalGD.bipartition(rmat14, ws, cfg))
+    assert(one.x.sameElements(four.x))
+    assert(one.side.sameElements(four.side))
+    assert(one.iterations == four.iterations)
+  }
+
+  test("the fused pass's stats are GDKernel.stats summed chunk by chunk in chunk order") {
+    val g = rmat14
+    val ws = wsFor(g, Seq(Weights.Unit, Weights.Degree))
+    val cfg = GDConfig(seed = 88)
+    val b = new LocalGD.Chunked(g, ws, cfg)
+    val ranges = b.bounds.indices.init.map(c => (b.bounds(c), b.bounds(c + 1)))
+    assert(ranges.length > 1)
+    /** Stats at `x` with `z` and a full sequential mat-vec, chunk sums added in order. */
+    def reference(x: Array[Double], fixed: Array[Boolean], z: Array[Double], sqs: Seq[Double]): Array[Double] = {
+      val grad = matvecReference(g, z)
+      ranges.zip(sqs).map { case ((lo, hi), sq) => GDKernel.stats(ws, x, fixed, z, grad, sq, lo, hi) }
+        .reduceLeft((p, q) => p.indices.map(k => p(k) + q(k)).toArray)
+    }
+    // t = 0: the noise alone, no vertex fixed.
+    val noise = 0.05
+    val x0 = new Array[Double](g.n)
+    val fixed0 = new Array[Boolean](g.n)
+    val z0 = Array.tabulate(g.n)(i => x0(i) + noise * GDKernel.gauss(cfg.seed, i))
+    assert(b.stepStats(noise).sameElements(reference(x0, fixed0, z0, ranges.map(_ => 0.0))))
+    // A long step fixes some vertices, so their buffered gradient goes stale.
+    val (gamma, alpha) = (10.0, Array(0.0, 0.0))
+    val grad0 = matvecReference(g, z0)
+    val x1 = new Array[Double](g.n)
+    val fixed1 = new Array[Boolean](g.n)
+    val sqs = ranges.map { case (lo, hi) =>
+      GDKernel.step(ws, x0, fixed0, z0, grad0, gamma, alpha, GDKernel.fixAt(cfg), x1, fixed1, lo, hi)
+    }
+    b.step(gamma, alpha)
+    assert(b.x.sameElements(x1) && b.fixed.sameElements(fixed1))
+    assert(fixed1.contains(true) && fixed1.contains(false))
+    assert(b.stepStats(0.0).sameElements(reference(x1, fixed1, x1, sqs)))
   }
 }
