@@ -4,7 +4,6 @@ import org.apache.spark.{Aggregator, HashPartitioner}
 import org.apache.spark.rdd.{RDD, ShuffledRDD}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.graphs.GraphOps
 import scala.collection.mutable.ArrayBuffer
 import scala.reflect.ClassTag
 
@@ -24,6 +23,8 @@ import scala.reflect.ClassTag
   * lazy narrow map that the next job runs. After rounding and repair, one
   * more such pass with `z = s = 2·part − 1` caches the final parts and sums
   * `sᵀAs = 2·(uncut − cut)`, from which the reported locality is exact.
+  * A k-way call runs log₂k levels of such splits on the same blocks, one
+  * per piece of a level ([[recurse]]); [[bipartition]] is its one-level case.
   *
   * Why RDDs: a DataFrame loop ran about ten jobs per iteration. Even with
   * the state co-partitioned with the edges and one checkpoint fewer, it ran
@@ -79,113 +80,164 @@ object DistGD {
   private final case class Step(s: State, z: Array[Double], grad: Array[Double])
 
   /** Balanced 2-partition of the canonical edge list under the named weight
-    * specs (see [[Weights]]). Only the one-shot alternating projection is
-    * supported distributed — matching the paper's large-scale configuration;
-    * the exact projection is evaluated in-core by [[LocalGD]].
+    * specs (see [[Weights]]): the one-level case of [[partitionK]]. Only the
+    * one-shot alternating projection is supported distributed — matching the
+    * paper's large-scale configuration; the exact projection is evaluated
+    * in-core by [[LocalGD]].
     */
   def bipartition(spark: SparkSession, edges: DataFrame, specs: Seq[String],
-                  cfg: GDConfig): Result = {
+                  cfg: GDConfig): Result = recurse(spark, edges, specs, 1, cfg)
+
+  /** Recursive k-way partitioning (paper §3.3, k a power of two): the
+    * recursion of [[RecursivePartitioner]], with the same weights, seeds and
+    * draws. Returns the (id, part) assignment, part ∈ [0, k), cached as
+    * [[Result]]'s is.
+    */
+  def partitionK(spark: SparkSession, edges: DataFrame, specs: Seq[String],
+                 k: Int, cfg: GDConfig): DataFrame = {
+    require(k >= 1 && (k & (k - 1)) == 0, s"k must be a power of two, got $k")
+    recurse(spark, edges, specs, Integer.numberOfTrailingZeros(k), cfg).assign
+  }
+
+  /** `levels` levels of the recursion on blocks built once from the whole
+    * edge list, so every weight is the full graph's. A level splits each of
+    * its pieces with [[GDKernel.run]] on all blocks: the vertices outside the
+    * piece stay fixed at x = 0, so their z is 0 and their edges add nothing
+    * to the gradient, while `n`, `W`, rounding, side sums and repair are the
+    * piece's own. Piece p's vertices then take part 2·p + side. The result's
+    * imbalances and iterations are the last split's; its locality is NaN
+    * unless `levels` is 1.
+    */
+  private def recurse(spark: SparkSession, edges: DataFrame, specs: Seq[String], levels: Int,
+                      cfg: GDConfig): Result = {
     require(cfg.projection == ProjectionMethod.OneShot,
       "DistGD implements the paper's distributed default (one-shot alternating)")
-    val weightOf = specs.map(Weights.ofDegree)
+    val d = specs.length
     val part = new HashPartitioner(spark.conf.get("spark.sql.shuffle.partitions").toInt)
-    val blocks = buildBlocks(edges, weightOf, part).persist()
+    val blocks = buildBlocks(edges, specs.map(Weights.ofDegree), part).persist()
 
     // RDDs cached where the next job computes them, with their lineage cut
-    // there; each is released once a job has computed its successor.
+    // there; each is released once a job has computed its successor. The
+    // current parts stay until the next parts are computed.
     val kept = ArrayBuffer.empty[RDD[_]]
-    def keep[T](rdd: RDD[T]): RDD[T] = { kept += rdd; rdd.localCheckpoint() }
+    def keep[U](rdd: RDD[U]): RDD[U] = { kept += rdd; rdd.localCheckpoint() }
+    var parts = keep(blocks.map(b => (b.ids, new Array[Int](b.ids.length))))
     def releaseAllBut(current: RDD[_]): Unit =
-      kept.filterInPlace(r => (r eq current) || { r.unpersist(blocking = false); false })
-    def sumUp(parts: RDD[Array[Double]]): Array[Double] = GDKernel.sumInOrder(parts.collect())
+      kept.filterInPlace(r => (r eq current) || (r eq parts) || { r.unpersist(blocking = false); false })
 
-    val totals = sumUp(blocks.map(b => b.ids.length.toDouble +: b.w.map(_.sum)))
-    val n = totals(0).toLong
-    val W = totals.tail
-    var state: RDD[State] = keep(blocks.map(b =>
-      State(new Array[Double](b.ids.length), new Array[Boolean](b.ids.length), 0.0)))
-    var current: RDD[Step] = null
-    val iterations = GDKernel.run(new GDKernel.Blocks {
-      // Closures below capture only local values: this object is not serializable.
-      def stepStats(noise: Double): Array[Double] = {
-        val seed = cfg.seed
-        val point = (b: Block, s: State) =>
+    var (imbalances, iterations) = (new Array[Double](d), 0)
+    var seeds = Array(cfg.seed)
+    for (_ <- 0 until levels) {
+      val pieces = seeds.length
+      // Vertex count and weights of every piece, [n, W_0, …, W_{d−1}] each.
+      val totals = sumUp(perBlock(blocks, parts) { case (b, (_, pt)) =>
+        val v = new Array[Double](pieces * (1 + d))
+        for (i <- pt.indices) { val at = pt(i) * (1 + d); v(at) += 1; for (j <- 0 until d) v(at + 1 + j) += b.w(j)(i) }
+        v
+      })
+      // From the last piece to the first: a part set at this level,
+      // 2·piece + side, is never the id of a piece still to split.
+      for (piece <- pieces - 1 to 0 by -1) {
+        val seed = seeds(piece)
+        val W = totals.slice(piece * (1 + d) + 1, (piece + 1) * (1 + d))
+        var state: RDD[State] = keep(perBlock(blocks, parts) { case (_, (ids, pt)) =>
+          State(new Array[Double](ids.length), pt.map(_ != piece), 0.0) })
+        var current: RDD[Step] = null
+        /** `z`: `x`, plus `noise` times the draws on the free vertices. */
+        def points(noise: Double) = (b: Block, s: State) =>
           if (noise == 0.0) s.x
-          else Array.tabulate(b.ids.length)(i => s.x(i) + noise * GDKernel.gauss(seed, b.ids(i)))
-        val messages = gather(blocks.zipPartitions(state)((bs, ss) => {
-          val b = bs.next()
-          sendSums(b, point(b, ss.next()))
-        }), part)
-        current = keep(blocks.zipPartitions(state, messages)((bs, ss, ms) => {
-          val b = bs.next(); val s = ss.next()
-          Iterator(Step(s, point(b, s), gradient(b, ms)))
+          else Array.tabulate(b.ids.length)(i =>
+            if (s.fixed(i)) s.x(i) else s.x(i) + noise * GDKernel.gauss(seed, b.ids(i)))
+        iterations = GDKernel.run(new GDKernel.Blocks {
+          // Closures below capture only local values: this object is not serializable.
+          def stepStats(noise: Double): Array[Double] = {
+            val point = points(noise)
+            val messages = gather(blocks.zipPartitions(state)((bs, ss) => {
+              val b = bs.next()
+              sendSums(b, point(b, ss.next()))
+            }), part)
+            current = keep(blocks.zipPartitions(state, messages)((bs, ss, ms) => {
+              val b = bs.next(); val s = ss.next()
+              Iterator(Step(s, point(b, s), gradient(b, ms)))
+            }))
+            val v = sumUp(perBlock(blocks, current)((b, p) =>
+              GDKernel.stats(b.w, p.s.x, p.s.fixed, p.z, p.grad, p.s.stepSq, 0, p.z.length)))
+            releaseAllBut(current)
+            state = keep(current.map(_.s))
+            v
+          }
+
+          def step(gamma: Double, alpha: Array[Double]): Unit = {
+            val fixAt = GDKernel.fixAt(cfg)
+            state = keep(perBlock(blocks, current) { (b, p) =>
+              val x = new Array[Double](b.ids.length)
+              val fixed = new Array[Boolean](b.ids.length)
+              State(x, fixed, GDKernel.step(b.w, p.s.x, p.s.fixed, p.z, p.grad, gamma, alpha, fixAt, x, fixed, 0, x.length))
+            })
+          }
+
+          def slabStats(): Array[Double] = {
+            val v = sumUp(perBlock(blocks, state)((b, s) => GDKernel.slabStats(b.w, s.x, s.fixed, 0, s.x.length)))
+            releaseAllBut(state)
+            v
+          }
+
+          def shift(alpha: Array[Double]): Unit =
+            state = keep(perBlock(blocks, state) { (b, s) =>
+              val x = new Array[Double](b.ids.length)
+              GDKernel.shift(b.w, s.x, s.fixed, alpha, x, 0, x.length)
+              s.copy(x = x)
+            })
+        }, totals(piece * (1 + d)).toLong, W, cfg)
+
+        // The piece's vertices take part 2·piece + side: from here on they
+        // are the vertices whose part v has v / 2 == piece, on side v % 2.
+        parts = keep(state.zipPartitions(parts)((ss, ps) => {
+          val s = ss.next(); val (ids, pt) = ps.next()
+          Iterator((ids, Array.tabulate(ids.length)(i =>
+            if (pt(i) != piece) pt(i) else 2 * piece + GDKernel.side(seed, ids(i), s.x(i), s.fixed(i)))))
         }))
-        val v = sumUp(perBlock(blocks, current)((b, p) =>
-          GDKernel.stats(b.w, p.s.x, p.s.fixed, p.z, p.grad, p.s.stepSq, 0, p.z.length)))
-        releaseAllBut(current)
-        state = keep(current.map(_.s))
-        v
+        val sideOf = (p: (Array[Long], Array[Int])) => p._2.map(v => if (v / 2 == piece) v % 2 else -1)
+        val sums = sumUp(perBlock(blocks, parts)((b, p) => GDKernel.sideSums(b.w, sideOf(p))))
+        // Each repair sweep pulls the 50k least confident vertices of the
+        // heavy side to the driver.
+        val flips = scala.collection.mutable.Set.empty[Long]
+        def candidates(heavy: Int): Iterator[(Long, Array[Double])] = {
+          val flipped = flips.toSet
+          blocks.zipPartitions(state, parts)((bs, ss, ps) => {
+            val b = bs.next(); val st = ss.next(); val side = sideOf(ps.next())
+            b.ids.indices.iterator.filter(i => side(i) >= 0 && (side(i) == heavy) != flipped(b.ids(i)))
+              .map(i => (math.abs(st.x(i)), b.ids(i), b.w.map(_(i))))
+          }).takeOrdered(50000)(Ordering.by[(Double, Long, Array[Double]), (Double, Long)](c => (c._1, c._2))(
+            Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.Long)))
+            .iterator.map(c => (c._2, c._3))
+        }
+        GDKernel.repair(sums, W, cfg.eps, candidates, id => if (!flips.remove(id)) flips += id)
+        imbalances = GDKernel.imbalances(sums, W)
+        val flipped = flips.toSet
+        parts = keep(parts.map { case (ids, pt) => (ids, Array.tabulate(ids.length)(i => pt(i) ^ (if (flipped(ids(i))) 1 else 0))) })
       }
-
-      def step(gamma: Double, alpha: Array[Double]): Unit = {
-        val fixAt = GDKernel.fixAt(cfg)
-        state = keep(perBlock(blocks, current) { (b, p) =>
-          val x = new Array[Double](b.ids.length)
-          val fixed = new Array[Boolean](b.ids.length)
-          State(x, fixed, GDKernel.step(b.w, p.s.x, p.s.fixed, p.z, p.grad, gamma, alpha, fixAt, x, fixed, 0, x.length))
-        })
-      }
-
-      def slabStats(): Array[Double] = {
-        val v = sumUp(perBlock(blocks, state)((b, s) => GDKernel.slabStats(b.w, s.x, s.fixed, 0, s.x.length)))
-        releaseAllBut(state)
-        v
-      }
-
-      def shift(alpha: Array[Double]): Unit =
-        state = keep(perBlock(blocks, state) { (b, s) =>
-          val x = new Array[Double](b.ids.length)
-          GDKernel.shift(b.w, s.x, s.fixed, alpha, x, 0, x.length)
-          s.copy(x = x)
-        })
-    }, n, W, cfg)
-
-    val sided = perBlock(blocks, state)((b, s) =>
-      Array.tabulate(b.ids.length)(i => GDKernel.side(cfg.seed, b.ids(i), s.x(i), s.fixed(i))))
-    val sums = sumUp(perBlock(blocks, sided)((b, p) => GDKernel.sideSums(b.w, p)))
-    // Each repair sweep pulls the 50k least confident vertices of the heavy
-    // side to the driver.
-    val flips = scala.collection.mutable.Set.empty[Long]
-    def candidates(heavy: Int): Iterator[(Long, Array[Double])] = {
-      val flipped = flips.toSet
-      blocks.zipPartitions(state, sided)((bs, ss, ps) => {
-        val b = bs.next(); val st = ss.next(); val p = ps.next()
-        b.ids.indices.iterator.filter(i => (p(i) == heavy) != flipped(b.ids(i)))
-          .map(i => (math.abs(st.x(i)), b.ids(i), b.w.map(_(i))))
-      }).takeOrdered(50000)(Ordering.by[(Double, Long, Array[Double]), (Double, Long)](c => (c._1, c._2))(
-        Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.Long)))
-        .iterator.map(c => (c._2, c._3))
+      seeds = Array.tabulate(2 * pieces)(q => RecursivePartitioner.childSeed(seeds(q / 2), q % 2))
     }
-    GDKernel.repair(sums, W, cfg.eps, candidates, id => if (!flips.remove(id)) flips += id)
-
-    // One message pass of s = 2·part − 1 caches the final (ids, parts) and
-    // returns sᵀAs = 2·(uncut − cut) and the D directed adjacency entries.
-    val flipped = flips.toSet
-    val assigned = keep(perBlock(blocks, sided)((b, p) =>
-      (b.ids, Array.tabulate(p.length)(i => if (flipped(b.ids(i))) 1 - p(i) else p(i)))))
-    val spins = (p: (Array[Long], Array[Int])) => p._2.map(2.0 * _ - 1)
-    val messages = gather(blocks.zipPartitions(assigned)((bs, ps) => sendSums(bs.next(), spins(ps.next()))), part)
-    val Array(sAs, entries) = sumUp(blocks.zipPartitions(assigned, messages)((bs, ps, ms) => {
-      val b = bs.next(); val s = spins(ps.next()); val grad = gradient(b, ms)
-      Iterator(Array(s.indices.map(i => s(i) * grad(i)).sum, b.offsets.last.toDouble))
-    }))
-    releaseAllBut(assigned)
+    // A k-way call computes the final parts with a count. A bipartition's
+    // one message pass of s = 2·part − 1 computes them and returns
+    // sᵀAs = 2·(uncut − cut) and the D directed adjacency entries.
+    val locality = if (levels != 1) { parts.count(); Double.NaN } else {
+      val spins = (p: (Array[Long], Array[Int])) => p._2.map(2.0 * _ - 1)
+      val messages = gather(blocks.zipPartitions(parts)((bs, ps) => sendSums(bs.next(), spins(ps.next()))), part)
+      val Array(sAs, entries) = sumUp(blocks.zipPartitions(parts, messages)((bs, ps, ms) => {
+        val b = bs.next(); val s = spins(ps.next()); val grad = gradient(b, ms)
+        Iterator(Array(s.indices.map(i => s(i) * grad(i)).sum, b.offsets.last.toDouble))
+      }))
+      if (entries == 0) 1.0 else (sAs + entries) / (2 * entries)
+    }
+    releaseAllBut(parts)
     blocks.unpersist()
     import spark.implicits._
-    val assign = assigned.flatMap(p => p._1.iterator.zip(p._2.iterator)).toDF("id", "part")
-    val locality = if (entries == 0) 1.0 else (sAs + entries) / (2 * entries)
-    Result(assign, locality, GDKernel.imbalances(sums, W), iterations)
+    Result(parts.flatMap(p => p._1.iterator.zip(p._2.iterator)).toDF("id", "part"), locality, imbalances, iterations)
   }
+
+  private def sumUp(parts: RDD[Array[Double]]): Array[Double] = GDKernel.sumInOrder(parts.collect())
 
   /** `f` on each block and the element of `rdd` aligned with it. */
   private def perBlock[T: ClassTag, U: ClassTag](blocks: RDD[Block], rdd: RDD[T])(f: (Block, T) => U): RDD[U] =
@@ -292,43 +344,5 @@ object DistGD {
     for (m <- batches.toSeq.sortBy(_.from); k <- m.ids.indices)
       grad(java.util.Arrays.binarySearch(b.ids, m.ids(k))) += m.sums(k)
     grad
-  }
-
-  /** Recursive k-way distributed partitioning (k a power of two): filter the
-    * edge list per part and bipartition each side. Intended for modest k —
-    * used by the integration tests; the quality sweeps use the in-core path.
-    */
-  def partitionK(spark: SparkSession, edges: DataFrame, specs: Seq[String],
-                 k: Int, cfg: GDConfig): DataFrame = {
-    require(k >= 1 && (k & (k - 1)) == 0, s"k must be a power of two, got $k")
-    var assign = GraphOps.vertexIds(edges).withColumn("part", lit(0)).persist()
-    assign.count()
-    var parts = 1
-    var level = 0
-    while (parts < k) {
-      val pieces = (0 until parts).map { p =>
-        val ids = assign.where(col("part") === p).select(col("id") as "pid")
-        val subEdges = edges
-          .join(ids, col("src") === col("pid")).drop("pid")
-          .join(ids.select(col("pid") as "pid2"), col("dst") === col("pid2")).drop("pid2")
-        val subIds = ids.select(col("pid") as "id")
-        if (subEdges.isEmpty) {
-          subIds.withColumn("part", lit(2 * p))
-        } else {
-          val res = bipartition(spark, subEdges, specs, cfg.copy(seed = cfg.seed + 97 * level + p))
-          // Vertices isolated inside the piece carry no weight; send to side 0.
-          subIds.join(res.assign.select(col("id"), col("part") as "side"), Seq("id"), "left")
-            .na.fill(0, Seq("side"))
-            .select(col("id"), (lit(2 * p) + col("side")) as "part")
-        }
-      }
-      val merged = pieces.reduce(_ unionByName _).persist()
-      merged.count()
-      assign.unpersist()
-      assign = merged
-      parts *= 2
-      level += 1
-    }
-    assign
   }
 }

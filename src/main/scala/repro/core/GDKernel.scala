@@ -26,7 +26,9 @@ object GDKernel {
     * block; statistics are summed over the blocks.
     */
   trait Blocks {
-    /** Sets `z = x + noise·`[[gauss]] and `grad = A·z`; returns [[stats]]. */
+    /** Sets `z = x`, plus `noise·`[[gauss]] on the free vertices, and
+      * `grad = A·z`; returns [[stats]].
+      */
     def stepStats(noise: Double): Array[Double]
     /** [[step]] from the last `z` and `grad`. */
     def step(gamma: Double, alpha: Array[Double]): Unit
@@ -250,11 +252,13 @@ object GDKernel {
   def sumInOrder(parts: Array[Array[Double]]): Array[Double] =
     parts.reduceLeft((a, b) => Array.tabulate(a.length)(k => a(k) + b(k)))
 
-  /** `Σ_i w_j(i)·(2·side_i − 1)` per dimension. */
+  /** `Σ_i w_j(i)·(2·side_i − 1)` per dimension over the vertices that have
+    * a side; `side_i = −1` leaves vertex i out.
+    */
   def sideSums(w: Array[Array[Double]], side: Array[Int]): Array[Double] = w.map { wj =>
     var s = 0.0
     var i = 0
-    while (i < side.length) { s += wj(i) * (2 * side(i) - 1); i += 1 }
+    while (i < side.length) { if (side(i) >= 0) s += wj(i) * (2 * side(i) - 1); i += 1 }
     s
   }
 

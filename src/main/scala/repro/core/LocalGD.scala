@@ -122,10 +122,11 @@ object LocalGD {
 
   /** The [[GDKernel.Blocks]] of a call on `g`, over its [[chunks]]. `x`
     * and `fixed` are the state; the gradient is computed for free rows
-    * only, into one buffer for the whole call.
+    * only, into one buffer for the whole call. Vertex `i` draws its noise
+    * and rounding by `id(i)`.
     */
-  private[core] final class Chunked(g: LocalGraph, ws: Array[Array[Double]], cfg: GDConfig)
-      extends GDKernel.Blocks {
+  private[core] final class Chunked(g: LocalGraph, ws: Array[Array[Double]], cfg: GDConfig,
+                                    id: Int => Long = i => i) extends GDKernel.Blocks {
     val bounds: Array[Int] = chunks(g)
     val x = new Array[Double](g.n)
     val fixed = new Array[Boolean](g.n)
@@ -143,7 +144,8 @@ object LocalGD {
     def stepStats(noise: Double): Array[Double] = {
       if (noise != 0.0) {
         z = new Array[Double](g.n)
-        eachChunk(bounds)((_, lo, hi) => for (i <- lo until hi) z(i) = x(i) + noise * GDKernel.gauss(cfg.seed, i))
+        eachChunk(bounds)((_, lo, hi) => for (i <- lo until hi)
+          z(i) = if (fixed(i)) x(i) else x(i) + noise * GDKernel.gauss(cfg.seed, id(i)))
       } else z = x
       eachChunk(bounds) { (c, lo, hi) =>
         rowSums(g, z, fixed, grad, lo, hi)
@@ -175,7 +177,7 @@ object LocalGD {
     /** The rounded sides of `x` (§3.1), drawn per chunk. */
     def sides(): Array[Int] = {
       val side = new Array[Int](g.n)
-      eachChunk(bounds)((_, lo, hi) => for (i <- lo until hi) side(i) = GDKernel.side(cfg.seed, i, x(i), fixed(i)))
+      eachChunk(bounds)((_, lo, hi) => for (i <- lo until hi) side(i) = GDKernel.side(cfg.seed, id(i), x(i), fixed(i)))
       side
     }
 
@@ -195,10 +197,14 @@ object LocalGD {
     }
   }
 
-  /** Balanced 2-partition of `g` under weight vectors `ws` (d × n). */
-  def bipartition(g: LocalGraph, ws: Array[Array[Double]], cfg: GDConfig): GDResult = {
+  /** Balanced 2-partition of `g` under weight vectors `ws` (d × n). Vertex
+    * `i` draws its noise and rounding by `id(i)`: its id in the graph that
+    * `g` was induced from, if any.
+    */
+  def bipartition(g: LocalGraph, ws: Array[Array[Double]], cfg: GDConfig,
+                  id: Int => Long = i => i): GDResult = {
     require(ws.length >= 1, "need at least one weight dimension")
-    val b = new Chunked(g, ws, cfg)
+    val b = new Chunked(g, ws, cfg, id)
     val iterations = GDKernel.run(b, g.n, ws.map(_.sum), cfg)
     val side = b.sides()
     Rounding.repair(side, b.x, ws, cfg.eps)

@@ -3,11 +3,14 @@ package repro.core
 import java.util.concurrent.RecursiveAction
 import repro.graphs.LocalGraph
 
-/** Recursive k-way partitioning (paper §3.3): bipartition ⌈log₂k⌉ times.
+/** Recursive k-way partitioning (paper §3.3): bipartition log₂k times.
   *
   * Weights are taken from the *original* graph (degree weights keep their
   * full-graph values when recursing, so edge balance tracks global edge
-  * counts), while the gradient uses the induced subgraph's edges.
+  * counts), while the gradient uses the induced subgraph's edges. Each
+  * vertex draws its noise and rounding by its id in the input graph, and
+  * the halves of a piece split with seed `s` recurse with [[childSeed]];
+  * [[DistGD.partitionK]] runs the same recursion on Spark.
   *
   * The two halves of a split are independent: the second half's recursion is
   * forked onto the JVM's common fork-join pool while the calling thread does
@@ -16,6 +19,9 @@ import repro.graphs.LocalGraph
   * not depend on the number of threads or on their timing.
   */
 object RecursivePartitioner {
+
+  /** The seed of the half on side `s` of a piece that was split with `seed`. */
+  private[core] def childSeed(seed: Long, s: Int): Long = seed * 31 + 1 + s
 
   /** Partition `g` into `k` parts (k must be a power of two ≥ 1) balanced on
     * the given weight vectors. Returns part ids in [0, k).
@@ -31,11 +37,11 @@ object RecursivePartitioner {
         toOriginal.foreach(v => assign(v) = partBase)
         return
       }
-      val side = LocalGD.bipartition(sub, wsSub, cfg.copy(seed = seed)).side
+      val side = LocalGD.bipartition(sub, wsSub, cfg.copy(seed = seed), i => toOriginal(i)).side
       val half = partsLeft / 2
       def recurseOn(s: Int): Unit = {
         val (gs, m) = sub.inducedSubgraph(side.map(_ == s))
-        recurse(gs, gather(toOriginal, m), wsSub.map(gather(_, m)), half, partBase + s * half, seed * 31 + 1 + s)
+        recurse(gs, gather(toOriginal, m), wsSub.map(gather(_, m)), half, partBase + s * half, childSeed(seed, s))
       }
       val second = new RecursiveAction { def compute(): Unit = recurseOn(1) }
       second.fork()

@@ -84,6 +84,47 @@ class DistGDSpec extends SparkSpec {
     }
   }
 
+  // The k-way recursions are one: full-graph weights, the same child seeds
+  // and draws keyed by the vertex's id, so every split takes the same steps.
+  private val kwaySpecs = Weights.All.take(2)
+  private val kwayParts = scala.collection.mutable.Map.empty[(String, Int), (Array[Int], Array[Int])]
+
+  /** In-core and distributed parts of every vertex of an agreement graph. */
+  private def kway(graph: String, k: Int): (Array[Int], Array[Int]) = kwayParts.getOrElseUpdate((graph, k), {
+    val g = agreementGraphs(graph)
+    val local = RecursivePartitioner.partition(g, Weights.localAll(g, kwaySpecs), k, cfg)
+    val edges = GraphGen.toDF(spark, g).persist()
+    val dist = Array.fill(g.n)(-1)
+    withBlocks(4)(DistGD.partitionK(spark, edges, kwaySpecs, k, cfg)).collect()
+      .foreach(r => dist(r.getLong(0).toInt) = r.getInt(1))
+    edges.unpersist()
+    (local, dist)
+  })
+
+  for (graph <- Seq("planted", "rmat"); k <- Seq(4, 8)) {
+    test(s"RecursivePartitioner and partitionK agree per vertex: $graph graph, k=$k") {
+      val g = agreementGraphs(graph)
+      val (local, dist) = kway(graph, k)
+      val differ = (0 until g.n).count(i => dist(i) != local(i))
+      assert(differ == 0, s"$differ of ${g.n} vertices are in different parts")
+      // ε compounded over the log₂k levels, on the full graph's degrees.
+      val bound = math.pow(1 + cfg.eps, Integer.numberOfTrailingZeros(k)) - 1
+      Weights.localAll(g, kwaySpecs).zip(kwaySpecs).foreach { case (w, spec) =>
+        val imb = GraphOps.imbalanceLocal(dist, w, k)
+        assert(imb <= bound, s"$spec imbalance $imb > $bound")
+      }
+    }
+  }
+
+  test("levels nest on both executors: the part at k=8, halved, is the part at k=4") {
+    for (graph <- Seq("planted", "rmat")) {
+      val (local4, dist4) = kway(graph, 4)
+      val (local8, dist8) = kway(graph, 8)
+      assert(local8.map(_ / 2).sameElements(local4), s"in-core, $graph graph")
+      assert(dist8.map(_ / 2).sameElements(dist4), s"distributed, $graph graph")
+    }
+  }
+
   test("each GD iteration costs at most two Spark jobs") {
     val g = GraphGen.plantedBisection(60, 0.2, 0.02, seed = 46)
     val edges = GraphGen.toDF(spark, g).persist()
@@ -138,6 +179,11 @@ class DistGDSpec extends SparkSpec {
     assert(res.imbalances.forall(_ == 0.0))
   }
 
+  /** The assignments of `bipartition` and of `partitionK` at k = 4. */
+  private val calls: Seq[(String, DataFrame => DataFrame)] = Seq(
+    "bipartition" -> (e => DistGD.bipartition(spark, e, Seq(Weights.Unit), short).assign),
+    "partitionK k=4" -> (e => withBlocks(4)(DistGD.partitionK(spark, e, Seq(Weights.Unit), 4, short))))
+
   test("a call on a persisted edge list starts no Spark SQL execution") {
     val edges = GraphGen.toDF(spark, GraphGen.plantedBisection(60, 0.2, 0.02, seed = 46)).persist()
     edges.count()
@@ -151,13 +197,16 @@ class DistGDSpec extends SparkSpec {
     }
     sc.addSparkListener(listener)
     try {
-      val res = DistGD.bipartition(spark, edges, Seq(Weights.Unit), short)
-      ListenerBusDrain(sc)
-      assert(executions.get == 0, s"${executions.get} SQL executions")
-      // The listener does see SQL: reading the assignment is one.
-      res.assign.count()
-      ListenerBusDrain(sc)
-      assert(executions.get > 0)
+      for ((name, call) <- calls) {
+        executions.set(0)
+        val assign = call(edges)
+        ListenerBusDrain(sc)
+        assert(executions.get == 0, s"$name: ${executions.get} SQL executions")
+        // The listener does see SQL: reading the assignment is one.
+        assign.count()
+        ListenerBusDrain(sc)
+        assert(executions.get > 0, name)
+      }
     } finally sc.removeSparkListener(listener)
     edges.unpersist()
   }
@@ -166,13 +215,15 @@ class DistGDSpec extends SparkSpec {
     val edges = GraphGen.toDF(spark, GraphGen.rmatLocal(8, 4, seed = 42)).persist()
     edges.count()
     val sc = spark.sparkContext
-    val before = sc.getPersistentRDDs.keySet
-    val res = DistGD.bipartition(spark, edges, Seq(Weights.Unit), short)
-    val added = sc.getPersistentRDDs.filter { case (id, _) => !before(id) }.values.toSeq
-    assert(added.size == 1, s"${added.size} RDDs left cached")
-    val cached = added.head.collect().flatMap { case (ids: Array[Long], parts: Array[Int]) => ids.zip(parts) }
-    val rows = res.assign.collect().map(r => (r.getLong(0), r.getInt(1)))
-    assert(cached.sorted.toSeq == rows.sorted.toSeq)
+    for ((name, call) <- calls) {
+      val before = sc.getPersistentRDDs.keySet
+      val assign = call(edges)
+      val added = sc.getPersistentRDDs.filter { case (id, _) => !before(id) }.values.toSeq
+      assert(added.size == 1, s"$name: ${added.size} RDDs left cached")
+      val cached = added.head.collect().flatMap { case (ids: Array[Long], parts: Array[Int]) => ids.zip(parts) }
+      val rows = assign.collect().map(r => (r.getLong(0), r.getInt(1)))
+      assert(cached.sorted.toSeq == rows.sorted.toSeq, name)
+    }
     edges.unpersist()
   }
 

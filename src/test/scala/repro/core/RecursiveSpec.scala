@@ -61,7 +61,8 @@ class RecursiveSpec extends AnyFunSuite {
   }
 
   /** The recursion done sequentially: the same `LocalGD.bipartition` and
-    * `inducedSubgraph` calls with the same seeds, first half before second.
+    * `inducedSubgraph` calls with the same seeds and the same draws (keyed
+    * by the vertex's id in `g`), first half before second.
     */
   private def sequentialReference(g: LocalGraph, ws: Array[Array[Double]], k: Int, cfg: GDConfig): Array[Int] = {
     val assign = new Array[Int](g.n)
@@ -69,7 +70,7 @@ class RecursiveSpec extends AnyFunSuite {
                 parts: Int, base: Int, seed: Long): Unit =
       if (parts == 1 || sub.n == 0) toOriginal.foreach(v => assign(v) = base)
       else {
-        val side = LocalGD.bipartition(sub, wsSub, cfg.copy(seed = seed)).side
+        val side = LocalGD.bipartition(sub, wsSub, cfg.copy(seed = seed), i => toOriginal(i)).side
         for (s <- 0 to 1) {
           val (gs, m) = sub.inducedSubgraph(side.map(_ == s))
           recurse(gs, m.map(toOriginal), wsSub.map(w => m.map(w)), parts / 2, base + s * parts / 2, seed * 31 + 1 + s)
