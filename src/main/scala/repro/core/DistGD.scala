@@ -13,14 +13,15 @@ import scala.reflect.ClassTag
   * Each call hash-partitions the symmetrized edge list by source into
   * `spark.sql.shuffle.partitions` blocks, once. A block holds its sorted
   * vertex ids, their d weight rows and a CSR adjacency over global neighbour
-  * ids (see [[Block]]). Per-vertex state (`x`, `fixed`, and the squared
-  * length of the step that produced them) stays aligned with the blocks
-  * through `zipPartitions`, so a GD iteration is one Spark job: every block
-  * sums `z` over its edges into one message batch per destination block
-  * (the map-side combine), the shuffle delivers the batches, whose sums
-  * make `grad = A·z` — the `O(|E|/m)` mat-vec of Theorem 1.1 — and one
-  * reduction returns the kernel's step statistics. The step itself is a
-  * lazy narrow map that the next job runs. After rounding and repair, one
+  * ids (see [[Block]]). Per-vertex state (`x`, `fixed`, the list of free
+  * vertices, and the squared length of the step that produced them) stays
+  * aligned with the blocks through `zipPartitions`, so a GD iteration is
+  * one Spark job: every block sums `z` over its edges into one message
+  * batch per destination block (the map-side combine), the shuffle
+  * delivers the batches, whose sums make `grad = A·z` — the `O(|E|/m)`
+  * mat-vec of Theorem 1.1 — and one reduction returns the kernel's step
+  * statistics. The step itself is a lazy narrow map that the next job
+  * runs. After rounding and repair, one
   * more such pass with `z = s = 2·part − 1` caches the final parts and sums
   * `sᵀAs = 2·(uncut − cut)`, from which the reported locality is exact.
   * A k-way call runs log₂k levels of such splits on the same blocks, one
@@ -71,10 +72,16 @@ object DistGD {
   /** Sums of `z` over the neighbours of `ids`, from block `from`. */
   private final case class Messages(from: Int, ids: Array[Long], sums: Array[Double])
 
-  /** Per-vertex state of one block, aligned with its ids, and the squared
-    * length of the block's part of the step that produced it.
+  /** Per-vertex state of one block, aligned with its ids: `x`, `fixed`,
+    * the free [[GDKernel.Rows]] of the block and its last statistic `last`:
+    * the squared length of the block's part of the step that produced `x`,
+    * or after a final-projection pass the number of free vertices whose `x`
+    * differs from two passes back (+∞ after the first pass). After a
+    * final-projection pass, `back` is the `x` before it. A new state takes
+    * copies of the arrays it changes: cached states are never written.
     */
-  private final case class State(x: Array[Double], fixed: Array[Boolean], stepSq: Double)
+  private final case class State(x: Array[Double], fixed: Array[Boolean], rows: GDKernel.Rows,
+                                 last: Double, back: Array[Double] = null)
 
   /** One iteration of a block: its state, the point `z` and `grad = A·z`. */
   private final case class Step(s: State, z: Array[Double], grad: Array[Double])
@@ -140,8 +147,9 @@ object DistGD {
       for (piece <- pieces - 1 to 0 by -1) {
         val seed = seeds(piece)
         val W = totals.slice(piece * (1 + d) + 1, (piece + 1) * (1 + d))
-        var state: RDD[State] = keep(perBlock(blocks, parts) { case (_, (ids, pt)) =>
-          State(new Array[Double](ids.length), pt.map(_ != piece), 0.0) })
+        var state: RDD[State] = keep(perBlock(blocks, parts) { case (b, (ids, pt)) =>
+          val (x, fixed) = (new Array[Double](ids.length), pt.map(_ != piece))
+          State(x, fixed, GDKernel.rows(b.w, x, fixed, 0, x.length), 0.0) })
         var current: RDD[Step] = null
         /** `z`: `x`, plus `noise` times the draws on the free vertices. */
         def points(noise: Double) = (b: Block, s: State) =>
@@ -161,7 +169,7 @@ object DistGD {
               Iterator(Step(s, point(b, s), gradient(b, ms)))
             }))
             val v = sumUp(perBlock(blocks, current)((b, p) =>
-              GDKernel.stats(b.w, p.s.x, p.s.fixed, p.z, p.grad, p.s.stepSq, 0, p.z.length)))
+              GDKernel.stats(b.w, p.z, p.grad, p.s.rows, p.s.last)))
             releaseAllBut(current)
             state = keep(current.map(_.s))
             v
@@ -170,23 +178,23 @@ object DistGD {
           def step(gamma: Double, alpha: Array[Double]): Unit = {
             val fixAt = GDKernel.fixAt(cfg)
             state = keep(perBlock(blocks, current) { (b, p) =>
-              val x = new Array[Double](b.ids.length)
-              val fixed = new Array[Boolean](b.ids.length)
-              State(x, fixed, GDKernel.step(b.w, p.s.x, p.s.fixed, p.z, p.grad, gamma, alpha, fixAt, x, fixed, 0, x.length))
+              val (x, fixed, rows) = (p.s.x.clone(), p.s.fixed.clone(), p.s.rows.copy())
+              State(x, fixed, rows, GDKernel.step(b.w, x, fixed, rows, p.z, p.grad, gamma, alpha, fixAt))
             })
           }
 
           def slabStats(): Array[Double] = {
-            val v = sumUp(perBlock(blocks, state)((b, s) => GDKernel.slabStats(b.w, s.x, s.fixed, 0, s.x.length)))
+            val v = sumUp(perBlock(blocks, state)((b, s) => GDKernel.slabStats(b.w, s.x, s.rows, s.last)))
             releaseAllBut(state)
             v
           }
 
+          /** Writes over a copy of the `x` of two passes back, once there is one. */
           def shift(alpha: Array[Double]): Unit =
             state = keep(perBlock(blocks, state) { (b, s) =>
-              val x = new Array[Double](b.ids.length)
-              GDKernel.shift(b.w, s.x, s.fixed, alpha, x, 0, x.length)
-              s.copy(x = x)
+              val x = (if (s.back == null) s.x else s.back).clone()
+              val changed = GDKernel.shift(b.w, s.x, s.rows, alpha, x)
+              State(x, s.fixed, s.rows, if (s.back == null) Double.PositiveInfinity else changed, s.x)
             })
         }, totals(piece * (1 + d)).toLong, W, cfg)
 
@@ -227,7 +235,10 @@ object DistGD {
       val messages = gather(blocks.zipPartitions(parts)((bs, ps) => sendSums(bs.next(), spins(ps.next()))), part)
       val Array(sAs, entries) = sumUp(blocks.zipPartitions(parts, messages)((bs, ps, ms) => {
         val b = bs.next(); val s = spins(ps.next()); val grad = gradient(b, ms)
-        Iterator(Array(s.indices.map(i => s(i) * grad(i)).sum, b.offsets.last.toDouble))
+        var sum = 0.0
+        var i = 0
+        while (i < s.length) { sum += s(i) * grad(i); i += 1 }
+        Iterator(Array(sum, b.offsets.last.toDouble))
       }))
       if (entries == 0) 1.0 else (sAs + entries) / (2 * entries)
     }

@@ -9,10 +9,15 @@ import repro.SplitMix.mix
   *
   * The driver ([[run]]) sees the vertices only through [[Blocks]].
   * [[LocalGD]] holds them as one block of arrays, [[DistGD]] as an RDD of
-  * blocks; both apply the per-block operations below, each to a row range
-  * `[lo, hi)` of a block's arrays (a `LocalGD` chunk of rows, or a whole
-  * `DistGD` block), so they take the same steps and draws, up to the order
-  * in which the ranges' sums are added.
+  * blocks; both apply the per-block operations below, each to the [[Rows]]
+  * of a row range of a block's arrays (a `LocalGD` chunk of rows, or a
+  * whole `DistGD` block), so they take the same steps and draws, up to the
+  * order in which the ranges' sums are added. The operations visit the free
+  * rows of a range only, from its list of them; the sums that change only
+  * with the fixed set (the Gram entries and `F`) are kept with the list and
+  * summed again only for a range whose fixed set changed. Every sum adds
+  * the same terms in the same row order as a loop over the whole range that
+  * skips the fixed rows.
   *
   * The one-shot projection is solved in closed form: projecting
   * `y = z + γ·grad` onto the planes `⟨w_j, y⟩ = −F_j` one after another
@@ -32,7 +37,10 @@ object GDKernel {
     def stepStats(noise: Double): Array[Double]
     /** [[step]] from the last `z` and `grad`. */
     def step(gamma: Double, alpha: Array[Double]): Unit
-    /** [[slabStats]] of `x`. */
+    /** [[slabStats]] of `x`, with `last` the number of free vertices whose
+      * `x` differs from two [[shift]]s back, or +∞ where that is not known.
+      * It is read after the second shift only.
+      */
     def slabStats(): Array[Double]
     /** [[shift]] of `x`: one alternating-projection pass. */
     def shift(alpha: Array[Double]): Unit
@@ -61,74 +69,163 @@ object GDKernel {
 
   // ---- Per-block operations ----
 
-  /** Over the free vertices in `[lo, hi)` `‖grad‖²`, `S`, `T` and the Gram
-    * upper triangle, over the fixed ones `F`, then the free count and
-    * `stepSq`, the squared length of the step that produced `x` there. Reads
-    * `grad` of free vertices only.
+  /** The rows `[lo, hi)` of a block (a `LocalGD` chunk, or a whole `DistGD`
+    * block) as the operations below see them: the free rows, increasing, in
+    * `free(0 until n)`, and `fixedSums`, the statistics that change only
+    * with that set: the Gram upper triangle over the free rows, then `F`
+    * over the fixed ones. [[step]] compacts `free` in place and, when it
+    * fixes a row, sums `fixedSums` again into a new array, so a [[copy]] may
+    * share it.
     */
-  def stats(w: Array[Array[Double]], x: Array[Double], fixed: Array[Boolean],
-            z: Array[Double], grad: Array[Double], stepSq: Double, lo: Int, hi: Int): Array[Double] = {
+  final class Rows(val lo: Int, val hi: Int, val free: Array[Int], var n: Int,
+                   var fixedSums: Array[Double]) extends Serializable {
+    /** A copy whose list [[step]] compacts without touching this one's. */
+    def copy(): Rows = new Rows(lo, hi, free.clone(), n, fixedSums)
+  }
+
+  /** The [[Rows]] of `[lo, hi)`: the rows not `fixed`, and `F` from `x`. */
+  def rows(w: Array[Array[Double]], x: Array[Double], fixed: Array[Boolean], lo: Int, hi: Int): Rows = {
+    val free = new Array[Int](hi - lo)
+    var n = 0
+    var i = lo
+    while (i < hi) { if (!fixed(i)) { free(n) = i; n += 1 }; i += 1 }
+    val r = new Rows(lo, hi, free, n, null)
+    r.fixedSums = fixedSums(w, x, fixed, r)
+    r
+  }
+
+  /** The Gram upper triangle over the free rows of `r`, then `F` over its
+    * fixed ones.
+    */
+  private def fixedSums(w: Array[Array[Double]], x: Array[Double], fixed: Array[Boolean], r: Rows): Array[Double] = {
     val d = w.length
-    val f = fixedAt(d)
-    val v = new Array[Double](freeAt(d) + 2)
-    var i = lo
-    while (i < hi) {
-      var j = 0
-      if (fixed(i)) {
-        while (j < d) { v(f + j) += w(j)(i) * x(i); j += 1 }
-      } else {
-        v(0) += grad(i) * grad(i)
-        var k = gramAt(d)
-        while (j < d) {
-          val wj = w(j)(i)
-          v(1 + j) += wj * z(i)
-          v(1 + d + j) += wj * grad(i)
-          var l = j
-          while (l < d) { v(k) += wj * w(l)(i); k += 1; l += 1 }
-          j += 1
-        }
-        v(f + d) += 1
+    val m = d * (d + 1) / 2
+    val v = new Array[Double](m + d)
+    // Entry e of the triangle is G(js(e), ls(e)). Three entries to a pass,
+    // as the adds of a pass are bound by latency; a short last group repeats
+    // its last entry.
+    val js = new Array[Int](m)
+    val ls = new Array[Int](m)
+    var e = 0
+    for (j <- 0 until d; l <- j until d) { js(e) = j; ls(e) = l; e += 1 }
+    e = 0
+    while (e < m) {
+      val e1 = math.min(e + 1, m - 1)
+      val e2 = math.min(e + 2, m - 1)
+      val a0 = w(js(e)); val b0 = w(ls(e))
+      val a1 = w(js(e1)); val b1 = w(ls(e1))
+      val a2 = w(js(e2)); val b2 = w(ls(e2))
+      var s0 = 0.0
+      var s1 = 0.0
+      var s2 = 0.0
+      var k = 0
+      while (k < r.n) {
+        val i = r.free(k)
+        s0 += a0(i) * b0(i)
+        s1 += a1(i) * b1(i)
+        s2 += a2(i) * b2(i)
+        k += 1
       }
+      v(e) = s0; v(e1) = s1; v(e2) = s2
+      e += 3
+    }
+    // One pass for all of F: the test of `fixed(i)` is what costs here.
+    var i = r.lo
+    while (i < r.hi) {
+      if (fixed(i)) { var j = 0; while (j < d) { v(m + j) += w(j)(i) * x(i); j += 1 } }
       i += 1
     }
-    v(f + d + 1) = stepSq
     v
   }
 
-  /** [[stats]] of `x` in `[lo, hi)` with a zero gradient. */
-  def slabStats(w: Array[Array[Double]], x: Array[Double], fixed: Array[Boolean],
-                lo: Int, hi: Int): Array[Double] = {
-    val v = stats(w, x, fixed, x, x, 0.0, lo, hi)
-    v(0) = 0.0 // ‖grad‖² and T of a zero gradient
-    java.util.Arrays.fill(v, 1 + w.length, gramAt(w.length), 0.0)
-    v
+  /** `Σ a(i)·b(i)` over the rows `i` of `free(0 until n)`, in list order. */
+  private def dot(a: Array[Double], b: Array[Double], free: Array[Int], n: Int): Double = {
+    var s = 0.0
+    var k = 0
+    while (k < n) { val i = free(k); s += a(i) * b(i); k += 1 }
+    s
   }
 
-  /** Moves every free vertex in `[lo, hi)` to `clip(z + γ·grad − Σ_j α_j·w_j)`
-    * and fixes it at its sign if `|x| ≥ fixAt`; fixed vertices stay. Writes
-    * `xOut` and `fixedOut`, which may be `x` and `fixed`. Returns the
-    * squared step length over the vertices that were free, measured before
-    * fixing.
+  /** Over the free rows of `r` `‖grad‖²`, `S`, `T` and the Gram upper
+    * triangle, over the fixed ones `F`, then the free count and `stepSq`,
+    * the squared length of the step that produced `x` there. Reads `z` and
+    * `grad` of free rows only.
     */
-  def step(w: Array[Array[Double]], x: Array[Double], fixed: Array[Boolean],
-           z: Array[Double], grad: Array[Double], gamma: Double, alpha: Array[Double],
-           fixAt: Double, xOut: Array[Double], fixedOut: Array[Boolean], lo: Int, hi: Int): Double = {
-    var sq = 0.0
-    var i = lo
-    while (i < hi) {
-      if (fixed(i)) { xOut(i) = x(i); fixedOut(i) = true }
-      else {
-        var y = z(i) + gamma * grad(i)
-        var j = 0
-        while (j < alpha.length) { y -= alpha(j) * w(j)(i); j += 1 }
-        y = Projections.clip(y)
-        val dx = y - x(i)
-        sq += dx * dx
-        fixedOut(i) = math.abs(y) >= fixAt
-        xOut(i) = if (!fixedOut(i)) y else if (y >= 0) 1.0 else -1.0
+  def stats(w: Array[Array[Double]], z: Array[Double], grad: Array[Double], r: Rows,
+            stepSq: Double): Array[Double] = {
+    val d = w.length
+    val v = new Array[Double](freeAt(d) + 2)
+    val free = r.free
+    val n = r.n
+    var j = 0
+    while (j < d) {
+      // One pass per dimension. `‖grad‖²` rides along in each, the same sum
+      // each time: the adds of a pass are bound by latency, not throughput.
+      val wj = w(j)
+      var gg = 0.0
+      var s = 0.0
+      var t = 0.0
+      var k = 0
+      while (k < n) {
+        val i = free(k)
+        val g = grad(i)
+        gg += g * g
+        s += wj(i) * z(i)
+        t += wj(i) * g
+        k += 1
       }
-      i += 1
+      v(0) = gg
+      v(1 + j) = s
+      v(1 + d + j) = t
+      j += 1
     }
+    withFixedSet(v, d, r, stepSq)
+  }
+
+  /** [[stats]] of `x` over `r` with a zero gradient, and `last` in place
+    * of `stepSq`.
+    */
+  def slabStats(w: Array[Array[Double]], x: Array[Double], r: Rows, last: Double): Array[Double] = {
+    val d = w.length
+    val v = new Array[Double](freeAt(d) + 2)
+    var j = 0
+    while (j < d) { v(1 + j) = dot(w(j), x, r.free, r.n); j += 1 }
+    withFixedSet(v, d, r, last)
+  }
+
+  /** `v` with the Gram entries, `F` and the free count of `r`, and `last`. */
+  private def withFixedSet(v: Array[Double], d: Int, r: Rows, last: Double): Array[Double] = {
+    System.arraycopy(r.fixedSums, 0, v, gramAt(d), r.fixedSums.length)
+    v(freeAt(d)) = r.n
+    v(freeAt(d) + 1) = last
+    v
+  }
+
+  /** Moves every free row `i` of `r` to `clip(z + γ·grad − Σ_j α_j·w_j)` and
+    * fixes it at its sign if `|x| ≥ fixAt`, in place in `x` and `fixed`,
+    * dropping it from `r`'s list; fixed rows stay. Returns the squared step
+    * length over the rows that were free, measured before fixing.
+    */
+  def step(w: Array[Array[Double]], x: Array[Double], fixed: Array[Boolean], r: Rows,
+           z: Array[Double], grad: Array[Double], gamma: Double, alpha: Array[Double],
+           fixAt: Double): Double = {
+    val free = r.free
+    var sq = 0.0
+    var m = 0
+    var k = 0
+    while (k < r.n) {
+      val i = free(k)
+      var y = z(i) + gamma * grad(i)
+      var j = 0
+      while (j < alpha.length) { y -= alpha(j) * w(j)(i); j += 1 }
+      y = Projections.clip(y)
+      val dx = y - x(i)
+      sq += dx * dx
+      if (math.abs(y) >= fixAt) { fixed(i) = true; x(i) = if (y >= 0) 1.0 else -1.0 }
+      else { x(i) = y; free(m) = i; m += 1 }
+      k += 1
+    }
+    if (m < r.n) { r.n = m; r.fixedSums = fixedSums(w, x, fixed, r) }
     sq
   }
 
@@ -241,12 +338,35 @@ object GDKernel {
     Array.tabulate(d)(k => a(k)(d) / a(k)(k) * sc(k))
   }
 
-  /** [[step]] from `x` in `[lo, hi)` with a zero gradient and no fixing, so
-    * `fixed` keeps its values.
+  /** Writes `clip(x − Σ_j α_j·w_j)` of every free row of `r` into `out`,
+    * which may be `x`: [[step]] with a zero gradient and no fixing. Fixed
+    * rows are not written. Returns how many free rows changed their `out`,
+    * bit for bit.
     */
-  def shift(w: Array[Array[Double]], x: Array[Double], fixed: Array[Boolean],
-            alpha: Array[Double], xOut: Array[Double], lo: Int, hi: Int): Unit =
-    step(w, x, fixed, x, x, 0.0, alpha, Double.PositiveInfinity, xOut, fixed, lo, hi)
+  def shift(w: Array[Array[Double]], x: Array[Double], r: Rows, alpha: Array[Double],
+            out: Array[Double]): Int = {
+    var changed = 0
+    var k = 0
+    while (k < r.n) {
+      val i = r.free(k)
+      var y = x(i)
+      var j = 0
+      while (j < alpha.length) { y -= alpha(j) * w(j)(i); j += 1 }
+      y = Projections.clip(y)
+      if (java.lang.Double.doubleToRawLongBits(y) != java.lang.Double.doubleToRawLongBits(out(i))) changed += 1
+      out(i) = y
+      k += 1
+    }
+    changed
+  }
+
+  /** `W_j = Σ_i w_j(i)` per dimension, added in element order. */
+  def totals(w: Array[Array[Double]]): Array[Double] = w.map { wj =>
+    var s = 0.0
+    var i = 0
+    while (i < wj.length) { s += wj(i); i += 1 }
+    s
+  }
 
   /** The sum of the vectors of the ranges, added in range order. */
   def sumInOrder(parts: Array[Array[Double]]): Array[Double] =
@@ -300,7 +420,11 @@ object GDKernel {
   /** §3.1: "in the last iterations we run the alternating projections
     * method until convergence", for at most `cfg.finalProjIters` passes.
     * Stops once every slab holds (to `1e-9·(1 + W_j)`) or no vertex is
-    * free to move.
+    * free to move. Also stops once a pass returns the `x` of two passes
+    * back, which a fixed point does too: a pass is a function of `x`, so
+    * the rest of the budget would alternate between the last two `x`
+    * without meeting the slabs. It takes one more pass first if the rest
+    * of the budget is odd, and so ends on the `x` the budget would end on.
     */
   private[core] def finalProjection(b: Blocks, W: Array[Double], cfg: GDConfig): Unit = {
     val d = W.length
@@ -310,7 +434,12 @@ object GDKernel {
       val v = b.slabStats()
       done = v(freeAt(d)) == 0 || (0 until d).forall(j =>
         math.abs(v(1 + j) + v(fixedAt(d) + j)) <= cfg.eps * W(j) + 1e-9 * (1 + W(j)))
-      if (!done) { b.shift(planeCoefficients(v, d, 0.0)); pass += 1 }
+      if (!done) {
+        val cycles = pass >= 2 && v(freeAt(d) + 1) == 0
+        if (!cycles || (cfg.finalProjIters - pass) % 2 == 1) b.shift(planeCoefficients(v, d, 0.0))
+        pass += 1
+        done = cycles
+      }
     }
   }
 

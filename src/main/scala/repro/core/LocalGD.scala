@@ -66,7 +66,9 @@ final case class GDResult(
   *
   * Every per-vertex pass of a call runs on the same chunks of rows, in
   * parallel on the fork-join pool of the calling thread (the JVM's common
-  * pool outside one). The chunks come from the CSR alone ([[chunks]]). Each
+  * pool outside one). The chunks come from the CSR alone ([[chunks]]), and
+  * each keeps the list of its free rows ([[GDKernel.Rows]]), built once per
+  * call, which the GD passes and the mat-vec of the free rows walk. Each
   * chunk's sums are kept apart and added on the caller in chunk order, so
   * the result depends on the graph, never on the number of threads.
   */
@@ -78,8 +80,7 @@ object LocalGD {
     */
   def matvec(g: LocalGraph, z: Array[Double]): Array[Double] = {
     val out = new Array[Double](g.n)
-    val noneFixed = new Array[Boolean](g.n)
-    eachChunk(chunks(g))((_, lo, hi) => rowSums(g, z, noneFixed, out, lo, hi))
+    eachChunk(chunks(g))((_, lo, hi) => rowSums(g, z, Array.range(lo, hi), hi - lo, out))
     out
   }
 
@@ -91,7 +92,11 @@ object LocalGD {
   private[core] def chunks(g: LocalGraph): Array[Int] = {
     val bounds = Array.newBuilder[Int] += 0
     var lo = 0
-    for (u <- 1 until g.n if (g.offsets(u) - g.offsets(lo)).toLong + (u - lo) >= (1 << 15)) { bounds += u; lo = u }
+    var u = 1
+    while (u < g.n) {
+      if ((g.offsets(u) - g.offsets(lo)).toLong + (u - lo) >= (1 << 15)) { bounds += u; lo = u }
+      u += 1
+    }
     (bounds += g.n).result()
   }
 
@@ -102,54 +107,64 @@ object LocalGD {
   private def eachChunk(bounds: Array[Int])(f: (Int, Int, Int) => Unit): Unit =
     IntStream.range(0, bounds.length - 1).parallel().forEach(c => f(c, bounds(c), bounds(c + 1)))
 
-  /** `out(u) = Σ_{v ∈ N(u)} z(v)` in CSR order for the rows `u` in `[lo, hi)`
-    * that are not fixed; fixed rows keep their `out`.
+  /** `out(u) = Σ_{v ∈ N(u)} z(v)` in CSR order for the rows `u` of
+    * `rows(0 until n)`; other rows keep their `out`.
     */
-  private def rowSums(g: LocalGraph, z: Array[Double], fixed: Array[Boolean],
-                      out: Array[Double], lo: Int, hi: Int): Unit = {
-    var u = lo
-    while (u < hi) {
-      if (!fixed(u)) {
-        var s = 0.0
-        var i = g.offsets(u)
-        val end = g.offsets(u + 1)
-        while (i < end) { s += z(g.adj(i)); i += 1 }
-        out(u) = s
-      }
-      u += 1
+  private def rowSums(g: LocalGraph, z: Array[Double], rows: Array[Int], n: Int,
+                      out: Array[Double]): Unit = {
+    var k = 0
+    while (k < n) {
+      val u = rows(k)
+      var s = 0.0
+      var i = g.offsets(u)
+      val end = g.offsets(u + 1)
+      while (i < end) { s += z(g.adj(i)); i += 1 }
+      out(u) = s
+      k += 1
     }
   }
 
-  /** The [[GDKernel.Blocks]] of a call on `g`, over its [[chunks]]. `x`
-    * and `fixed` are the state; the gradient is computed for free rows
-    * only, into one buffer for the whole call. Vertex `i` draws its noise
-    * and rounding by `id(i)`.
+  /** The [[GDKernel.Blocks]] of a call on `g`, over its [[chunks]]. `x`,
+    * `fixed` and the chunks' [[rows]] are the state; the gradient is
+    * computed for free rows only, into one buffer for the whole call.
+    * Vertex `i` draws its noise and rounding by `id(i)`.
     */
   private[core] final class Chunked(g: LocalGraph, ws: Array[Array[Double]], cfg: GDConfig,
                                     id: Int => Long = i => i) extends GDKernel.Blocks {
     val bounds: Array[Int] = chunks(g)
-    val x = new Array[Double](g.n)
+    /** `W_j`, the total weights. */
+    val W: Array[Double] = GDKernel.totals(ws)
+    private var cur = new Array[Double](g.n)
+    def x: Array[Double] = cur
     val fixed = new Array[Boolean](g.n)
+    /** The free rows of each chunk. */
+    val rows = new Array[GDKernel.Rows](bounds.length - 1)
+    eachChunk(bounds)((c, lo, hi) => rows(c) = GDKernel.rows(ws, cur, fixed, lo, hi))
     private val d = ws.length
-    private val W = ws.map(_.sum)
     private val fixAt = GDKernel.fixAt(cfg)
     private val grad = new Array[Double](g.n)
-    private var z = x
+    private var z = cur
     private var stats = Array.emptyDoubleArray
     private val partStats = new Array[Array[Double]](bounds.length - 1)
-    /** The squared length of each chunk's part of the last step. */
-    private val partSq = new Array[Double](bounds.length - 1)
+    /** Each chunk's last statistic: the squared length of its part of the
+      * last step, or, from the third final-projection pass on, the number of
+      * its free rows whose `x` differs from two passes back (+∞ before).
+      */
+    private val partLast = new Array[Double](bounds.length - 1)
+    private var shifts = 0
+    /** From the second final-projection pass on, the `x` before the last pass. */
+    private var back: Array[Double] = null
     val traceRows = ArrayBuffer.empty[GDTraceRow]
 
     def stepStats(noise: Double): Array[Double] = {
       if (noise != 0.0) {
         z = new Array[Double](g.n)
         eachChunk(bounds)((_, lo, hi) => for (i <- lo until hi)
-          z(i) = if (fixed(i)) x(i) else x(i) + noise * GDKernel.gauss(cfg.seed, id(i)))
-      } else z = x
-      eachChunk(bounds) { (c, lo, hi) =>
-        rowSums(g, z, fixed, grad, lo, hi)
-        partStats(c) = GDKernel.stats(ws, x, fixed, z, grad, partSq(c), lo, hi)
+          z(i) = if (fixed(i)) cur(i) else cur(i) + noise * GDKernel.gauss(cfg.seed, id(i)))
+      } else z = cur
+      eachChunk(bounds) { (c, _, _) =>
+        rowSums(g, z, rows(c).free, rows(c).n, grad)
+        partStats(c) = GDKernel.stats(ws, z, grad, rows(c), partLast(c))
       }
       stats = GDKernel.sumInOrder(partStats)
       stats
@@ -162,22 +177,32 @@ object LocalGD {
         GDKernel.exactCoefficients(ws, fixed, z, grad, gamma,
           Array.tabulate(d)(j => -cfg.eps * W(j) - f(j)), Array.tabulate(d)(j => cfg.eps * W(j) - f(j)))._1
       }
-      eachChunk(bounds)((c, lo, hi) => partSq(c) = GDKernel.step(ws, x, fixed, z, grad, gamma, a, fixAt, x, fixed, lo, hi))
+      eachChunk(bounds)((c, _, _) => partLast(c) = GDKernel.step(ws, cur, fixed, rows(c), z, grad, gamma, a, fixAt))
       if (cfg.trace) traceRows += traceRow(traceRows.length)
     }
 
     def slabStats(): Array[Double] = {
-      eachChunk(bounds)((c, lo, hi) => partStats(c) = GDKernel.slabStats(ws, x, fixed, lo, hi))
+      eachChunk(bounds)((c, _, _) => partStats(c) = GDKernel.slabStats(ws, cur, rows(c), partLast(c)))
       GDKernel.sumInOrder(partStats)
     }
 
-    def shift(alpha: Array[Double]): Unit =
-      eachChunk(bounds)((_, lo, hi) => GDKernel.shift(ws, x, fixed, alpha, x, lo, hi))
+    /** The first pass runs in place. From the second on, passes alternate
+      * between `x` and a second buffer, so from the third on a pass writes
+      * over the `x` of two passes back and counts the rows it changes.
+      */
+    def shift(alpha: Array[Double]): Unit = {
+      shifts += 1
+      val from = cur
+      val out = if (shifts == 1) cur else if (back == null) cur.clone() else back
+      eachChunk(bounds)((c, _, _) => partLast(c) = GDKernel.shift(ws, from, rows(c), alpha, out))
+      if (shifts <= 2) java.util.Arrays.fill(partLast, Double.PositiveInfinity)
+      if (out ne from) { back = from; cur = out }
+    }
 
     /** The rounded sides of `x` (§3.1), drawn per chunk. */
     def sides(): Array[Int] = {
       val side = new Array[Int](g.n)
-      eachChunk(bounds)((_, lo, hi) => for (i <- lo until hi) side(i) = GDKernel.side(cfg.seed, id(i), x(i), fixed(i)))
+      eachChunk(bounds)((_, lo, hi) => for (i <- lo until hi) side(i) = GDKernel.side(cfg.seed, id(i), cur(i), fixed(i)))
       side
     }
 
@@ -205,9 +230,9 @@ object LocalGD {
                   id: Int => Long = i => i): GDResult = {
     require(ws.length >= 1, "need at least one weight dimension")
     val b = new Chunked(g, ws, cfg, id)
-    val iterations = GDKernel.run(b, g.n, ws.map(_.sum), cfg)
+    val iterations = GDKernel.run(b, g.n, b.W, cfg)
     val side = b.sides()
-    Rounding.repair(side, b.x, ws, cfg.eps)
+    Rounding.repair(side, b.x, ws, cfg.eps, b.W)
     GDResult(b.x, side, b.locality(side), b.imbalances(side), b.traceRows.toSeq, iterations)
   }
 }
@@ -215,11 +240,15 @@ object LocalGD {
 /** [[GDKernel.repair]] on in-core sides: vertex ids are indices. */
 object Rounding {
 
-  def repair(side: Array[Int], x: Array[Double],
-             ws: Array[Array[Double]], eps: Double): Unit = {
+  def repair(side: Array[Int], x: Array[Double], ws: Array[Array[Double]], eps: Double): Unit =
+    repair(side, x, ws, eps, GDKernel.totals(ws))
+
+  /** With the total weights `W` of `ws`. */
+  def repair(side: Array[Int], x: Array[Double], ws: Array[Array[Double]], eps: Double,
+             W: Array[Double]): Unit = {
     // A stable sort, so ties in |x| go to the smaller id.
     lazy val order = Array.range(0, side.length).sortBy(i => math.abs(x(i)))
-    GDKernel.repair(GDKernel.sideSums(ws, side), ws.map(_.sum), eps,
+    GDKernel.repair(GDKernel.sideSums(ws, side), W, eps,
       heavy => order.iterator.filter(side(_) == heavy).map(i => (i.toLong, ws.map(_(i)))),
       id => side(id.toInt) = 1 - side(id.toInt))
   }

@@ -1,31 +1,144 @@
 package repro.core
 
+import java.lang.Double.doubleToRawLongBits
 import org.scalatest.funsuite.AnyFunSuite
+import scala.collection.mutable.ArrayBuffer
 
-/** The driver loop of [[GDKernel]] against stub blocks. */
+/** The per-block operations of [[GDKernel]] and its final projection. */
 class GDKernelSpec extends AnyFunSuite {
 
+  private val unit = Array(Array.fill(10)(1.0))
+
   /** Blocks of ten unit-weight vertices at x = 1, the first `free` of them
-    * free: Σ x = 10 is far outside the slab |Σ x| ≤ 0.5. Counts shifts.
+    * free: Σ x = 10 is far outside the slab |Σ x| ≤ 0.5. A shift maps the
+    * last x and the α it is given to the next x by `pass`. The stub keeps every
+    * x; its last statistic counts the free vertices whose x differs from two
+    * shifts back (+∞ before the second shift, or always if not `detect`).
     */
-  private class Stub(free: Int) extends GDKernel.Blocks {
-    var shifts = 0
+  private class Stub(free: Int, pass: (GDKernel.Rows, Array[Double], Array[Double]) => Array[Double],
+                     detect: Boolean = true) extends GDKernel.Blocks {
+    val xs = ArrayBuffer(Array.fill(10)(1.0))
+    private val rows = GDKernel.rows(unit, xs.last, Array.tabulate(10)(_ >= free), 0, 10)
+    def shifts: Int = xs.length - 1
     def stepStats(noise: Double): Array[Double] = ???
     def step(gamma: Double, alpha: Array[Double]): Unit = ???
-    def slabStats(): Array[Double] =
-      GDKernel.slabStats(Array(Array.fill(10)(1.0)), Array.fill(10)(1.0), Array.tabulate(10)(_ >= free), 0, 10)
-    def shift(alpha: Array[Double]): Unit = shifts += 1
+    def slabStats(): Array[Double] = {
+      val changed = if (!detect || xs.length < 3) Double.PositiveInfinity
+        else xs.last.indices.count(i => doubleToRawLongBits(xs.last(i)) != doubleToRawLongBits(xs(xs.length - 3)(i))).toDouble
+      GDKernel.slabStats(unit, xs.last, rows, changed)
+    }
+    def shift(alpha: Array[Double]): Unit = xs += pass(rows, xs.last, alpha)
+  }
+
+  /** [[GDKernel.shift]] with the given `α` times `scale`. */
+  private def kernelPass(scale: Double)(r: GDKernel.Rows, x: Array[Double], alpha: Array[Double]): Array[Double] = {
+    val out = x.clone()
+    GDKernel.shift(unit, x, r, alpha.map(_ * scale), out)
+    out
   }
 
   test("final projection issues no shift when every vertex is fixed") {
-    val stub = new Stub(free = 0)
+    val stub = new Stub(0, kernelPass(1.0))
     GDKernel.finalProjection(stub, Array(10.0), GDConfig(eps = 0.05))
     assert(stub.shifts == 0)
   }
 
   test("final projection shifts a violated slab up to its pass budget") {
-    val stub = new Stub(free = 1)
+    // A hundredth of the plane step moves the free vertex by 0.1 a pass, so
+    // x never repeats and the slab stays violated.
+    val stub = new Stub(1, kernelPass(0.01))
     GDKernel.finalProjection(stub, Array(10.0), GDConfig(eps = 0.05, finalProjIters = 3))
     assert(stub.shifts == 3)
+    assert(stub.xs.map(_(0)).distinct.length == 4)
   }
+
+  // The plane step sends the one free vertex to −1 and leaves it there;
+  // the other pass alternates it between 0.5 and 0.25 from the first pass.
+  for ((name, pass) <- Seq[(String, (GDKernel.Rows, Array[Double], Array[Double]) => Array[Double])](
+      "a fixed point" -> kernelPass(1.0),
+      "a 2-cycle" -> ((_, x, _) => x.updated(0, if (x(0) == 0.5) 0.25 else 0.5))))
+    test(s"a stopped final projection ends on the full budget's x: $name") {
+      for (budget <- 4 to 11) {
+        val cfg = GDConfig(eps = 0.05, finalProjIters = budget)
+        val (stopped, full) = (new Stub(1, pass), new Stub(1, pass, detect = false))
+        GDKernel.finalProjection(stopped, Array(10.0), cfg)
+        GDKernel.finalProjection(full, Array(10.0), cfg)
+        assert(full.shifts == budget)
+        assert(stopped.shifts == 3 + (budget - 3) % 2, s"budget $budget")
+        assert(stopped.xs.last.sameElements(full.xs.last), s"budget $budget")
+      }
+    }
+
+  // ---- Per-block operations against a loop over every row ----
+
+  private val F = (d: Int) => 1 + 2 * d + d * (d + 1) / 2
+
+  /** The statistics as one loop over `[lo, hi)` that tests `fixed(i)`, one
+    * array entry per sum.
+    */
+  private def statsReference(w: Array[Array[Double]], x: Array[Double], fixed: Array[Boolean],
+                             z: Array[Double], grad: Array[Double], last: Double, lo: Int, hi: Int): Array[Double] = {
+    val d = w.length
+    val v = new Array[Double](F(d) + d + 2)
+    for (i <- lo until hi) {
+      if (fixed(i)) for (j <- 0 until d) v(F(d) + j) += w(j)(i) * x(i)
+      else {
+        v(0) += grad(i) * grad(i)
+        var k = 1 + 2 * d
+        for (j <- 0 until d) {
+          v(1 + j) += w(j)(i) * z(i)
+          v(1 + d + j) += w(j)(i) * grad(i)
+          for (l <- j until d) { v(k) += w(j)(i) * w(l)(i); k += 1 }
+        }
+        v(F(d) + d) += 1
+      }
+    }
+    v(F(d) + d + 1) = last
+    v
+  }
+
+  private def bits(v: Array[Double]): Seq[Long] = v.toSeq.map(doubleToRawLongBits)
+
+  for (d <- Seq(1, 2, 4))
+    test(s"list-based stats, slabStats and step match a loop over every row bit for bit (d = $d)") {
+      val rng = new scala.util.Random(90 + d)
+      val n = 3000
+      // Magnitudes spread over many orders, so a different summation order shows.
+      def spread() = Array.fill(n)(rng.nextGaussian() * math.exp(8 * rng.nextGaussian()))
+      val bounds = Array(0, 1, 700, 700, 1900, 2999, n) // an empty range and one-row ranges
+      val ranges = bounds.indices.init.map(c => (bounds(c), bounds(c + 1)))
+      for (density <- Seq(0.0, 0.3, 0.9, 1.0)) {
+        val w = Array.fill(d)(spread().map(math.abs))
+        val fixed = Array.fill(n)(rng.nextDouble() < density)
+        val x = Array.tabulate(n)(i => if (fixed(i)) (if (rng.nextBoolean()) 1.0 else -1.0) else 2 * rng.nextDouble() - 1)
+        val (z, grad) = (spread(), spread())
+        val zero = new Array[Double](n)
+        for ((lo, hi) <- ranges) {
+          val r = GDKernel.rows(w, x, fixed, lo, hi)
+          assert(r.free.take(r.n).toSeq == (lo until hi).filter(!fixed(_)))
+          assert(bits(GDKernel.stats(w, z, grad, r, 0.25)) == bits(statsReference(w, x, fixed, z, grad, 0.25, lo, hi)))
+          assert(bits(GDKernel.slabStats(w, x, r, 3.0)) == bits(statsReference(w, x, fixed, x, zero, 3.0, lo, hi)))
+
+          // A step that fixes some rows, against the same step on every row.
+          val (gamma, alpha) = (0.3, Array.fill(d)(1e-3 * rng.nextGaussian()))
+          val (x1, fixed1) = (x.clone(), fixed.clone())
+          var sq = 0.0
+          for (i <- lo until hi if !fixed(i)) {
+            var y = z(i) + gamma * grad(i)
+            for (j <- 0 until d) y -= alpha(j) * w(j)(i)
+            y = Projections.clip(y)
+            sq += (y - x(i)) * (y - x(i))
+            fixed1(i) = math.abs(y) >= 0.95
+            x1(i) = if (!fixed1(i)) y else if (y >= 0) 1.0 else -1.0
+          }
+          val (x2, fixed2) = (x.clone(), fixed.clone())
+          val stepSq = GDKernel.step(w, x2, fixed2, r, z, grad, gamma, alpha, 0.95)
+          assert(doubleToRawLongBits(stepSq) == doubleToRawLongBits(sq))
+          assert(bits(x2) == bits(x1) && fixed2.sameElements(fixed1))
+          assert(r.free.take(r.n).toSeq == (lo until hi).filter(!fixed1(_)))
+          assert(bits(GDKernel.stats(w, z, grad, r, sq)) == bits(statsReference(w, x1, fixed1, z, grad, sq, lo, hi)))
+          assert(bits(GDKernel.slabStats(w, x1, r, 0.0)) == bits(statsReference(w, x1, fixed1, x1, zero, 0.0, lo, hi)))
+        }
+      }
+    }
 }

@@ -211,7 +211,7 @@ class LocalGDSpec extends AnyFunSuite {
     /** Stats at `x` with `z` and a full sequential mat-vec, chunk sums added in order. */
     def reference(x: Array[Double], fixed: Array[Boolean], z: Array[Double], sqs: Seq[Double]): Array[Double] = {
       val grad = matvecReference(g, z)
-      ranges.zip(sqs).map { case ((lo, hi), sq) => GDKernel.stats(ws, x, fixed, z, grad, sq, lo, hi) }
+      ranges.zip(sqs).map { case ((lo, hi), sq) => GDKernel.stats(ws, z, grad, GDKernel.rows(ws, x, fixed, lo, hi), sq) }
         .reduceLeft((p, q) => p.indices.map(k => p(k) + q(k)).toArray)
     }
     // t = 0: the noise alone, no vertex fixed.
@@ -223,14 +223,34 @@ class LocalGDSpec extends AnyFunSuite {
     // A long step fixes some vertices, so their buffered gradient goes stale.
     val (gamma, alpha) = (10.0, Array(0.0, 0.0))
     val grad0 = matvecReference(g, z0)
-    val x1 = new Array[Double](g.n)
-    val fixed1 = new Array[Boolean](g.n)
+    val x1 = x0.clone()
+    val fixed1 = fixed0.clone()
     val sqs = ranges.map { case (lo, hi) =>
-      GDKernel.step(ws, x0, fixed0, z0, grad0, gamma, alpha, GDKernel.fixAt(cfg), x1, fixed1, lo, hi)
+      GDKernel.step(ws, x1, fixed1, GDKernel.rows(ws, x1, fixed1, lo, hi), z0, grad0, gamma, alpha, GDKernel.fixAt(cfg))
     }
     b.step(gamma, alpha)
     assert(b.x.sameElements(x1) && b.fixed.sameElements(fixed1))
     assert(fixed1.contains(true) && fixed1.contains(false))
     assert(b.stepStats(0.0).sameElements(reference(x1, fixed1, x1, sqs)))
+  }
+
+  test("after every GD step each chunk's free-row list is its non-fixed rows in increasing order") {
+    val ws = wsFor(rmat14, Seq(Weights.Unit, Weights.Degree))
+    val cfg = GDConfig(eps = 0.03, seed = 89)
+    val b = new LocalGD.Chunked(rmat14, ws, cfg)
+    var steps = 0
+    def check(): Unit = for (c <- b.rows.indices) {
+      val r = b.rows(c)
+      assert(r.free.take(r.n).toSeq == (b.bounds(c) until b.bounds(c + 1)).filter(!b.fixed(_)), s"chunk $c, step $steps")
+    }
+    check()
+    val checked = new GDKernel.Blocks {
+      def stepStats(noise: Double): Array[Double] = b.stepStats(noise)
+      def step(gamma: Double, alpha: Array[Double]): Unit = { b.step(gamma, alpha); steps += 1; check() }
+      def slabStats(): Array[Double] = b.slabStats()
+      def shift(alpha: Array[Double]): Unit = b.shift(alpha)
+    }
+    assert(GDKernel.run(checked, rmat14.n, b.W, cfg) == steps)
+    assert(steps > 1 && b.fixed.contains(true) && b.fixed.contains(false))
   }
 }
