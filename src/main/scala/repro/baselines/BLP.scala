@@ -12,24 +12,22 @@ import scala.util.Random
   *     multi-dimensional balance even though individual clusters differ.
   *
   * The paper uses c = 1024 at billions-of-edges scale; at our scale the cap
-  * would drop below one vertex, so `c` is configurable (tests/benches use
-  * values giving ≥ ~64 vertices per cluster).
+  * would drop below one vertex, so c is 64 here and the cluster count is
+  * capped further below.
   */
-final case class BLPConfig(
-    c: Int = 64,
-    iterations: Int = 20,
-    capSlack: Double = 0.05,
-    seed: Long = 29,
-)
-
 object BLP {
 
-  def partition(g: LocalGraph, k: Int, cfg: BLPConfig = BLPConfig()): Array[Int] = {
+  private val C = 64          // clusters per part
+  private val Iterations = 20 // label-propagation rounds
+  private val CapSlack = 0.05 // cluster cap headroom over the average load
+  private val Seed = 29L
+
+  def partition(g: LocalGraph, k: Int): Array[Int] = {
     val n = g.n
     // Cap the cluster count so clusters keep ≥ ~64 vertices at our scale —
     // small enough to merge flexibly, large enough to capture neighborhoods.
-    val numClusters = math.max(k, math.min(cfg.c * k, math.max(1, n / 64)))
-    val rng = new Random(cfg.seed)
+    val numClusters = math.max(k, math.min(C * k, math.max(1, n / 64)))
+    val rng = new Random(Seed)
 
     // Step 1: constrained label propagation into numClusters clusters,
     // seeded from contiguous BFS blocks so initial clusters are coherent
@@ -57,8 +55,8 @@ object BLP {
     // its vertex cap or its edge (degree) cap fills — this is what keeps a
     // hub from dragging a whole neighborhood into one oversized cluster.
     val totalDeg = (0 until n).map(g.degree(_).toLong).sum.toDouble
-    val vCapSeed = math.max(1.0, n.toDouble / numClusters * (1.0 + cfg.capSlack))
-    val eCapSeed = math.max(1.0, totalDeg / numClusters * (1.0 + cfg.capSlack))
+    val vCapSeed = math.max(1.0, n.toDouble / numClusters * (1.0 + CapSlack))
+    val eCapSeed = math.max(1.0, totalDeg / numClusters * (1.0 + CapSlack))
     val cluster = new Array[Int](n)
     var cid = 0
     var curV = 0.0
@@ -85,7 +83,7 @@ object BLP {
     val touched = new Array[Int](actualClusters)
     val order = rng.shuffle((0 until n).toVector).toArray
     var it = 0
-    while (it < cfg.iterations) {
+    while (it < Iterations) {
       var moved = 0
       var oi = 0
       while (oi < n) {
@@ -120,7 +118,7 @@ object BLP {
         }
         oi += 1
       }
-      if (moved == 0) it = cfg.iterations
+      if (moved == 0) it = Iterations
       it += 1
     }
 

@@ -9,21 +9,18 @@ import repro.graphs.LocalGraph
   * Moves are exchanged in opposite-direction pairs so the combined balance
   * is preserved, but the individual dimensions are *not* guaranteed balanced
   * — the behaviour Figure 4 reports on skewed graphs.
-  *
-  * @param edgeCoeff   coefficient of deg(v) in the combined weight
-  * @param vertexCoeff coefficient of 1 in the combined weight
   */
-final case class SHPConfig(
-    edgeCoeff: Double = 1.0,
-    vertexCoeff: Double = 0.1,
-    iterations: Int = 20,
-)
-
 object SHP {
 
-  def partition(g: LocalGraph, k: Int, cfg: SHPConfig = SHPConfig()): Array[Int] = {
+  /** Coefficient of deg(v) in the combined weight. */
+  val EdgeCoeff = 1.0
+  /** Coefficient of 1 in the combined weight. */
+  val VertexCoeff = 0.1
+  private val Iterations = 20
+
+  def partition(g: LocalGraph, k: Int): Array[Int] = {
     val n = g.n
-    val cw = Array.tabulate(n)(v => cfg.edgeCoeff * g.degree(v) + cfg.vertexCoeff)
+    val cw = Array.tabulate(n)(v => EdgeCoeff * g.degree(v) + VertexCoeff)
 
     // Initial combined-balanced assignment: sort by combined weight
     // descending, greedily place on the lightest part.
@@ -43,7 +40,7 @@ object SHP {
     // exchanged in combined-weight-matched prefixes.
     val counts = new Array[Int](k)
     var it = 0
-    while (it < cfg.iterations) {
+    while (it < Iterations) {
       // gains(p)(q) = vertices wanting to move p -> q with their gain
       val want = Array.fill(k, k)(List.empty[(Int, Double)])
       var u = 0
@@ -84,7 +81,7 @@ object SHP {
           moved += 1
         }
       }
-      if (moved == 0) it = cfg.iterations
+      if (moved == 0) it = Iterations
       it += 1
     }
     part

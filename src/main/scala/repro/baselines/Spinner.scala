@@ -9,33 +9,28 @@ import scala.util.Random
   * penalty for labels whose *edge load* exceeds capacity. Spinner balances a
   * single dimension (edges); on skewed graphs its vertex balance degrades —
   * the behaviour Figure 4 reports.
-  *
-  * @param balanceSlack capacity headroom over the perfectly balanced load
-  * @param iterations   label-propagation rounds
   */
-final case class SpinnerConfig(
-    balanceSlack: Double = 0.05,
-    iterations: Int = 30,
-    seed: Long = 23,
-)
-
 object Spinner {
 
-  def partition(g: LocalGraph, k: Int, cfg: SpinnerConfig = SpinnerConfig()): Array[Int] = {
+  private val BalanceSlack = 0.05 // capacity headroom over the perfectly balanced load
+  private val Iterations = 30     // label-propagation rounds
+  private val Seed = 23L
+
+  def partition(g: LocalGraph, k: Int): Array[Int] = {
     val n = g.n
-    val rng = new Random(cfg.seed)
+    val rng = new Random(Seed)
     val label = Array.fill(n)(rng.nextInt(k))
     // load = sum of degrees per label (Spinner's definition of load).
     val load = new Array[Double](k)
     var v = 0
     while (v < n) { load(label(v)) += g.degree(v); v += 1 }
     val totalLoad = load.sum
-    val capacity = (totalLoad / k) * (1.0 + cfg.balanceSlack)
+    val capacity = (totalLoad / k) * (1.0 + BalanceSlack)
 
     val counts = new Array[Double](k)
     val order = rng.shuffle((0 until n).toVector).toArray
     var it = 0
-    while (it < cfg.iterations) {
+    while (it < Iterations) {
       var moved = 0
       var oi = 0
       while (oi < n) {
@@ -52,7 +47,7 @@ object Spinner {
           val frac = if (deg > 0) counts(l) / deg else 0.0
           val lNew = if (l == cur) load(l) else load(l) + deg
           val penalty = 1.0 - lNew / math.max(capacity, 1e-9)
-          val score = frac + cfg.balanceSlack * penalty
+          val score = frac + BalanceSlack * penalty
           if (score > bestScore + 1e-12) { bestScore = score; best = l }
           l += 1
         }
@@ -64,7 +59,7 @@ object Spinner {
         }
         oi += 1
       }
-      if (moved == 0) it = cfg.iterations
+      if (moved == 0) it = Iterations
       it += 1
     }
     label

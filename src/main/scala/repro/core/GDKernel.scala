@@ -53,8 +53,8 @@ object GDKernel {
   /** `F_j`, the weight of the fixed vertices, from a [[stats]] vector. */
   def fixedWeight(v: Array[Double], d: Int): Array[Double] = v.slice(fixedAt(d), fixedAt(d) + d)
 
-  /** `|x| ≥ fixAt` fixes a vertex. */
-  def fixAt(cfg: GDConfig): Double = if (cfg.vertexFixing) cfg.fixThreshold else Double.PositiveInfinity
+  /** `|x| ≥ fixAt` fixes a vertex: 0.99 under vertex fixing (§3.2). */
+  def fixAt(cfg: GDConfig): Double = if (cfg.vertexFixing) 0.99 else Double.PositiveInfinity
 
   /** Standard normal draw of vertex `id`: its noise at t = 0. */
   def gauss(seed: Long, id: Long): Double = new java.util.Random(mix(seed, id)).nextGaussian()

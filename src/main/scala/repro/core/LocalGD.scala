@@ -20,8 +20,7 @@ object ProjectionMethod {
   * @param projection     in-loop projection: one-shot or exact (any d)
   * @param adaptiveStep   rescale γ each iteration so that the realized step
   *                       length ‖x_t − x_{t+1}‖ stays near the target
-  * @param vertexFixing   freeze near-integral coordinates (§3.2)
-  * @param fixThreshold   |x_i| ≥ threshold ⇒ fix to sign(x_i)
+  * @param vertexFixing   fix x_i to sign(x_i) once |x_i| ≥ 0.99 (§3.2)
   * @param stepFactor     target step length = stepFactor·√n / iterations
   *                       (paper Fig. 8: factor 2 works well)
   * @param seed           RNG seed for the t=0 Gaussian noise and rounding
@@ -35,7 +34,6 @@ final case class GDConfig(
     projection: ProjectionMethod = ProjectionMethod.OneShot,
     adaptiveStep: Boolean = true,
     vertexFixing: Boolean = true,
-    fixThreshold: Double = 0.99,
     stepFactor: Double = 2.0,
     seed: Long = 12345,
     finalProjIters: Int = 500,

@@ -3,8 +3,7 @@ package repro.core
 /** Projections onto the unit cube and the slabs `⟨w^(j), x⟩ ∈ [lo_j, hi_j]`
   * (the paper's `[-εW_j, +εW_j]`, shifted by `−F_j` under vertex fixing), on
   * whole vectors (paper §2.2 / §3.1): one-shot alternating (planes once,
-  * then cube), full alternating (until feasible) and Dykstra's algorithm,
-  * the reference for the exact projection. Inside the iterations
+  * then cube) and full alternating (until feasible). Inside the iterations
   * [[GDKernel]] takes the one-shot and the exact projection as one step.
   */
 object Projections {
@@ -16,12 +15,6 @@ object Projections {
     var s = 0.0; var i = 0
     while (i < a.length) { s += a(i) * b(i); i += 1 }
     s
-  }
-
-  def dist(a: Array[Double], b: Array[Double]): Double = {
-    var s = 0.0; var i = 0
-    while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
-    math.sqrt(s)
   }
 
   /** Project onto the cube: coordinate-wise clip (returns a new array). */
@@ -37,16 +30,6 @@ object Projections {
     while (i < x.length) { out(i) = x(i) - shift * w(i); i += 1 }
     out
   }
-
-  /** Project onto the slab ⟨w, x⟩ ∈ [lo, hi] (nearest boundary if outside). */
-  def projectSlab(x: Array[Double], w: Array[Double], lo: Double, hi: Double): Array[Double] = {
-    val s = dot(w, x)
-    if (s >= lo && s <= hi) x.clone()
-    else projectPlane(x, w, if (s > hi) hi else lo)
-  }
-
-  def inBox(x: Array[Double], tol: Double = 1e-9): Boolean =
-    x.forall(v => v >= -1.0 - tol && v <= 1.0 + tol)
 
   def slabsOk(x: Array[Double], ws: Array[Array[Double]],
               los: Array[Double], his: Array[Double], tol: Double): Boolean = {
@@ -84,45 +67,6 @@ object Projections {
     while (it < maxIter) {
       x = oneShotAlternating(x, ws, mids)
       if (slabsOk(x, ws, los, his, tol)) return x
-      it += 1
-    }
-    x
-  }
-
-  /** Dykstra's algorithm over the cube and the d slabs — converges to the
-    * true Euclidean projection onto their intersection.
-    */
-  def dykstra(y: Array[Double], ws: Array[Array[Double]],
-              los: Array[Double], his: Array[Double],
-              maxIter: Int = 2000, tol: Double = 1e-10): Array[Double] = {
-    val n = y.length
-    val d = ws.length
-    val numSets = d + 1
-    val corrections = Array.fill(numSets)(new Array[Double](n))
-    var x = y.clone()
-    var it = 0
-    var change = Double.MaxValue
-    while (it < maxIter && change > tol) {
-      change = 0.0
-      var s = 0
-      while (s < numSets) {
-        val tmp = new Array[Double](n)
-        var i = 0
-        while (i < n) { tmp(i) = x(i) + corrections(s)(i); i += 1 }
-        val proj =
-          if (s < d) projectSlab(tmp, ws(s), los(s), his(s))
-          else projectBox(tmp)
-        i = 0
-        while (i < n) {
-          corrections(s)(i) = tmp(i) - proj(i)
-          val delta = proj(i) - x(i)
-          change += delta * delta
-          i += 1
-        }
-        x = proj
-        s += 1
-      }
-      change = math.sqrt(change)
       it += 1
     }
     x

@@ -1,7 +1,7 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import repro.baselines.{BLP, BLPConfig, HashPartition, SHP, SHPConfig, Spinner, SpinnerConfig}
+import repro.baselines.{BLP, HashPartition, SHP, Spinner}
 import repro.core._
 import repro.giraph.{GiraphSim, SimStats, WorkloadSpec, Workloads}
 import repro.graphs.{GraphGen, GraphOps, LocalGraph}
@@ -16,10 +16,8 @@ import repro.graphs.{GraphGen, GraphOps, LocalGraph}
 object Experiments {
 
   /** GD in a given balance mode via recursive bipartitioning. */
-  def gdAssign(g: LocalGraph, specs: Seq[String], k: Int,
-               eps: Double = 0.01, seed: Long = 5): Array[Int] =
-    RecursivePartitioner.partition(g, Weights.localAll(g, specs), k,
-      GDConfig(eps = eps, seed = seed))
+  private def gdAssign(g: LocalGraph, specs: Seq[String], k: Int, eps: Double): Array[Int] =
+    RecursivePartitioner.partition(g, Weights.localAll(g, specs), k, GDConfig(eps = eps, seed = 5))
 
   /** The partitioning policies of Table 1 / Figure 7. */
   val Policies: Seq[String] = Seq("hash", "vertex", "edge", "vertex-edge")
@@ -31,6 +29,19 @@ object Experiments {
       case "edge"        => gdAssign(g, Seq(Weights.Degree), k, eps)
       case "vertex-edge" => gdAssign(g, Seq(Weights.Unit, Weights.Degree), k, eps)
       case other         => throw new IllegalArgumentException(other)
+    }
+
+  /** The algorithms compared in Figures 4–6; GD balances vertices and edges. */
+  val Algorithms: Seq[String] = Seq("Hash", "GD", "Spinner", "BLP", "SHP")
+
+  def algoAssign(algo: String, g: LocalGraph, k: Int): Array[Int] =
+    algo match {
+      case "Hash"    => HashPartition.partition(g.n, k)
+      case "GD"      => gdAssign(g, Seq(Weights.Unit, Weights.Degree), k, 0.01)
+      case "Spinner" => Spinner.partition(g, k)
+      case "BLP"     => BLP.partition(g, k)
+      case "SHP"     => SHP.partition(g, k)
+      case other     => throw new IllegalArgumentException(other)
     }
 
   // ------------------------------------------------------------------
@@ -90,15 +101,9 @@ object Experiments {
     val rows = for {
       (name, g) <- publicGraphs()
       k <- ks
-      algo <- Seq("Hash", "GD", "Spinner", "BLP", "SHP")
+      algo <- Algorithms
     } yield {
-      val a = algo match {
-        case "Hash"    => HashPartition.partition(g.n, k)
-        case "GD"      => gdAssign(g, Seq(Weights.Unit, Weights.Degree), k, eps = 0.01)
-        case "Spinner" => Spinner.partition(g, k, SpinnerConfig())
-        case "BLP"     => BLP.partition(g, k, BLPConfig())
-        case "SHP"     => SHP.partition(g, k, SHPConfig())
-      }
+      val a = algoAssign(algo, g, k)
       ImbalanceRow(name, algo, k,
         GraphOps.imbalanceLocal(a, Weights.local(g, Weights.Unit), k),
         GraphOps.imbalanceLocal(a, Weights.local(g, Weights.Degree), k))
@@ -121,14 +126,7 @@ object Experiments {
       (name, g) <- graphs
       k <- ks
       algo <- Seq("Hash", "GD", "BLP")
-    } yield {
-      val a = algo match {
-        case "Hash" => HashPartition.partition(g.n, k)
-        case "GD"   => gdAssign(g, Seq(Weights.Unit, Weights.Degree), k, eps = 0.01)
-        case "BLP"  => BLP.partition(g, k, BLPConfig())
-      }
-      LocalityRow(name, algo, k, g.edgeLocality(a))
-    }
+    } yield LocalityRow(name, algo, k, g.edgeLocality(algoAssign(algo, g, k)))
     Tab.show(title, Seq("graph", "algo", "k", "locality"),
       rows.map(r => Seq(r.graph, r.algo, r.k, r.locality)))
     rows

@@ -22,7 +22,7 @@ import scala.util.Random
   *    messagesIn_w  = (2·I_w + C_w) · msgsPerEdge
   *    remoteOut_w   = C_w · msgsPerEdge
   *    t_w = (cVertex·V_w + cMsg·messagesIn_w + cNet·(2·C_w·msgsPerEdge))
-  *          · noise(worker, superstep)
+  *          · (1 + 0.05·N(0, 1))   (one draw per worker and superstep)
   *
   * The partitions fed in are real partitioner outputs, so which strategy
   * wins is an emergent result of its actual balance/locality; only the
@@ -36,7 +36,6 @@ final case class WorkloadSpec(
     cMsg: Double,
     cNet: Double,
     bytesPerMsg: Double,
-    noiseSigma: Double = 0.05,
 )
 
 /** The four Giraph applications of §4.2. HC and MF are proprietary Facebook
@@ -94,7 +93,7 @@ object GiraphSim {
         val msgsIn = (2.0 * l.internal(w) + l.cutEnds(w)) * wl.msgsPerEdge
         val remote = l.cutEnds(w) * wl.msgsPerEdge
         val base = wl.cVertex * l.vertices(w) + wl.cMsg * msgsIn + wl.cNet * 2.0 * remote
-        val noisy = base * (1.0 + wl.noiseSigma * rng.nextGaussian())
+        val noisy = base * (1.0 + 0.05 * rng.nextGaussian())
         times(s)(w) = math.max(0.0, noisy)
         comms(s)(w) = remote * wl.bytesPerMsg
         if (times(s)(w) > mx) mx = times(s)(w)

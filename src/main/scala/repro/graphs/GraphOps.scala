@@ -1,14 +1,11 @@
 package repro.graphs
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-/** DataFrame-level graph operations and partition-quality metrics.
-  *
-  * All metrics are expressed as Spark SQL jobs so they scale with the edge
-  * list and can be Oracle-checked against DuckDB over the same tables.
-  * Edge lists use columns (src: long, dst: long); assignments use
-  * (id: long, part: int).
+/** Edge-list operations on DataFrames (columns src: long, dst: long) and the
+  * in-core imbalance and per-worker loads of an assignment. The Spark SQL
+  * metric oracles that the tests check these against live on the test side.
   */
 object GraphOps {
 
@@ -20,60 +17,9 @@ object GraphOps {
       .where(col("src") =!= col("dst"))
       .distinct()
 
-  /** Both orientations of every canonical edge — the adjacency relation used
-    * by the distributed mat-vec.
-    */
-  def symmetrize(edges: DataFrame): DataFrame =
-    edges.select(col("src"), col("dst"))
-      .union(edges.select(col("dst") as "src", col("src") as "dst"))
-
-  /** (id, deg) for every endpoint appearing in the canonical edge list. */
-  def degrees(edges: DataFrame): DataFrame =
-    symmetrize(edges).groupBy(col("src") as "id").agg(count(lit(1)).cast("long") as "deg")
-
   /** Distinct vertex ids of the edge list. */
   def vertexIds(edges: DataFrame): DataFrame =
     edges.select(col("src") as "id").union(edges.select(col("dst") as "id")).distinct()
-
-  /** One-row DataFrame (uncut, total, locality) for an assignment. */
-  def localityDF(edges: DataFrame, assign: DataFrame): DataFrame = {
-    val a = assign.select(col("id") as "sid", col("part") as "sp")
-    val b = assign.select(col("id") as "did", col("part") as "dp")
-    edges
-      .join(a, col("src") === col("sid"))
-      .join(b, col("dst") === col("did"))
-      .agg(
-        sum(when(col("sp") === col("dp"), 1L).otherwise(0L)) as "uncut",
-        count(lit(1)).cast("long") as "total",
-      )
-      .select(col("uncut"), col("total"),
-              (col("uncut").cast("double") / col("total")) as "locality")
-  }
-
-  /** Edge locality (fraction of uncut edges) as a scalar. */
-  def edgeLocality(edges: DataFrame, assign: DataFrame): Double = {
-    val r = localityDF(edges, assign).collect()(0)
-    r.getDouble(2)
-  }
-
-  /** Per-part totals of a weight column: (part, total). */
-  def partWeights(assign: DataFrame, weights: DataFrame, weightCol: String): DataFrame =
-    assign.join(weights, "id")
-      .groupBy("part")
-      .agg(sum(col(weightCol)).cast("double") as "total")
-
-  /** Imbalance max_i w(V_i) / avg_i w(V_i) - 1 for one weight column.
-    * The average is taken over all k parts (parts that received no vertex
-    * count as zero weight), matching the paper's definition.
-    */
-  def imbalance(assign: DataFrame, weights: DataFrame, weightCol: String, k: Int): Double = {
-    val r = partWeights(assign, weights, weightCol)
-      .agg(max(col("total")) as "mx", sum(col("total")) as "tot")
-      .collect()(0)
-    val mx = r.getDouble(0)
-    val avg = r.getDouble(1) / k
-    if (avg == 0) 0.0 else mx / avg - 1.0
-  }
 
   /** Imbalance of a local assignment against a local weight vector. */
   def imbalanceLocal(assign: Array[Int], w: Array[Double], k: Int): Double = {
@@ -111,11 +57,5 @@ object GraphOps {
       u += 1
     }
     (vcnt, internal, cutEnds)
-  }
-
-  /** Upload a local assignment as (id, part). */
-  def assignToDF(spark: SparkSession, assign: Array[Int]): DataFrame = {
-    import spark.implicits._
-    assign.zipWithIndex.map { case (p, i) => (i.toLong, p) }.toSeq.toDF("id", "part")
   }
 }

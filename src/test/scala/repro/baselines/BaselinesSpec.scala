@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Weights
-import repro.graphs.{GraphGen, GraphOps}
+import repro.graphs.{GraphGen, GraphOps, TestGraphs}
 
 /** The reimplemented comparison systems (paper §4). */
 class BaselinesSpec extends AnyFunSuite {
@@ -37,14 +37,14 @@ class BaselinesSpec extends AnyFunSuite {
   test("spinner: valid partition and edge-load balance within slack") {
     val g = GraphGen.rmatLocal(10, 8, seed = 5)
     val k = 4
-    val a = Spinner.partition(g, k, SpinnerConfig(balanceSlack = 0.05))
+    val a = Spinner.partition(g, k)
     assert(a.forall(p => p >= 0 && p < k))
     val imb = GraphOps.imbalanceLocal(a, Weights.local(g, Weights.Degree), k)
     assert(imb <= 0.10, s"spinner edge imbalance $imb")
   }
 
   test("spinner beats hash on locality for a community graph") {
-    val g = GraphGen.plantedKCommunities(4, 60, 0.2, 0.01, seed = 6)
+    val g = TestGraphs.plantedKCommunities(4, 60, 0.2, 0.01, seed = 6)
     val a = Spinner.partition(g, 4)
     val h = HashPartition.partition(g.n, 4)
     assert(g.edgeLocality(a) > g.edgeLocality(h))
@@ -69,7 +69,7 @@ class BaselinesSpec extends AnyFunSuite {
   for (k <- Seq(2, 8)) {
     test(s"blp: valid partition with multi-dim balance from the merge (k=$k)") {
       val g = GraphGen.rmatLocal(12, 8, seed = 7)
-      val a = BLP.partition(g, k, BLPConfig())
+      val a = BLP.partition(g, k)
       assert(a.forall(p => p >= 0 && p < k))
       val vImb = GraphOps.imbalanceLocal(a, Weights.local(g, Weights.Unit), k)
       val eImb = GraphOps.imbalanceLocal(a, Weights.local(g, Weights.Degree), k)
@@ -79,8 +79,8 @@ class BaselinesSpec extends AnyFunSuite {
   }
 
   test("blp beats hash on locality for a community graph") {
-    val g = GraphGen.plantedKCommunities(8, 40, 0.25, 0.01, seed = 8)
-    val a = BLP.partition(g, 2, BLPConfig(c = 16))
+    val g = TestGraphs.plantedKCommunities(8, 40, 0.25, 0.01, seed = 8)
+    val a = BLP.partition(g, 2)
     val h = HashPartition.partition(g.n, 2)
     assert(g.edgeLocality(a) > g.edgeLocality(h))
   }
@@ -95,16 +95,15 @@ class BaselinesSpec extends AnyFunSuite {
   test("shp: valid partition, combined-weight balance preserved") {
     val g = GraphGen.rmatLocal(10, 8, seed = 10)
     val k = 4
-    val cfgE = SHPConfig(edgeCoeff = 1.0, vertexCoeff = 0.1)
-    val a = SHP.partition(g, k, cfgE)
+    val a = SHP.partition(g, k)
     assert(a.forall(p => p >= 0 && p < k))
-    val cw = Array.tabulate(g.n)(v => cfgE.edgeCoeff * g.degree(v) + cfgE.vertexCoeff)
+    val cw = Array.tabulate(g.n)(v => SHP.EdgeCoeff * g.degree(v) + SHP.VertexCoeff)
     val imb = GraphOps.imbalanceLocal(a, cw, k)
     assert(imb <= 0.15, s"combined imbalance $imb")
   }
 
   test("shp improves locality over its initial balanced assignment") {
-    val g = GraphGen.plantedKCommunities(4, 50, 0.25, 0.01, seed = 11)
+    val g = TestGraphs.plantedKCommunities(4, 50, 0.25, 0.01, seed = 11)
     val a = SHP.partition(g, 4)
     val h = HashPartition.partition(g.n, 4)
     assert(g.edgeLocality(a) > g.edgeLocality(h))
@@ -113,9 +112,8 @@ class BaselinesSpec extends AnyFunSuite {
   test("shp balances the combination, not each dimension (Fig 4 premise)") {
     val g = GraphGen.twitterLiteLocal()
     val k = 8
-    val cfgE = SHPConfig(edgeCoeff = 1.0, vertexCoeff = 0.1)
-    val a = SHP.partition(g, k, cfgE)
-    val cw = Array.tabulate(g.n)(v => cfgE.edgeCoeff * g.degree(v) + cfgE.vertexCoeff)
+    val a = SHP.partition(g, k)
+    val cw = Array.tabulate(g.n)(v => SHP.EdgeCoeff * g.degree(v) + SHP.VertexCoeff)
     val cImb = GraphOps.imbalanceLocal(a, cw, k)
     val vImb = GraphOps.imbalanceLocal(a, Weights.local(g, Weights.Unit), k)
     assert(cImb <= 0.2, s"combined imbalance $cImb")

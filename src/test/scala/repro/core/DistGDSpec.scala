@@ -7,7 +7,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
-import repro.graphs.{GraphGen, GraphOps, LocalGraph}
+import repro.graphs.{GraphGen, GraphOps, LocalGraph, SqlMetrics, TestGraphs}
 
 /** Distributed GD: balance, quality, agreement with the in-core reference,
   * the reported locality against the DataFrame oracle, and what a call
@@ -25,8 +25,8 @@ class DistGDSpec extends SparkSpec {
   }
 
   test("planted bisection: balanced and far better than hash") {
-    val g = GraphGen.plantedBisection(150, 0.12, 0.01, seed = 41)
-    val edges = GraphGen.toDF(spark, g).persist()
+    val g = TestGraphs.plantedBisection(150, 0.12, 0.01, seed = 41)
+    val edges = TestGraphs.toDF(spark, g).persist()
     val res = DistGD.bipartition(spark, edges, Seq(Weights.Unit, Weights.Degree), cfg)
     assert(res.imbalances.max <= 0.05 + 0.05, s"imbalances ${res.imbalances.toSeq}")
     assert(res.locality > 0.7, s"locality ${res.locality}")
@@ -37,7 +37,7 @@ class DistGDSpec extends SparkSpec {
 
   test("assignment covers every edge-incident vertex with parts {0,1}") {
     val g = GraphGen.rmatLocal(8, 4, seed = 42)
-    val edges = GraphGen.toDF(spark, g).persist()
+    val edges = TestGraphs.toDF(spark, g).persist()
     val res = DistGD.bipartition(spark, edges, Seq(Weights.Unit), cfg)
     val nVerts = GraphOps.vertexIds(edges).count()
     assert(res.assign.count() == nVerts)
@@ -47,8 +47,8 @@ class DistGDSpec extends SparkSpec {
   }
 
   test("locality is comparable to the in-core reference on the same graph") {
-    val g = GraphGen.plantedBisection(100, 0.15, 0.02, seed = 43)
-    val edges = GraphGen.toDF(spark, g).persist()
+    val g = TestGraphs.plantedBisection(100, 0.15, 0.02, seed = 43)
+    val edges = TestGraphs.toDF(spark, g).persist()
     val dist = DistGD.bipartition(spark, edges, Seq(Weights.Unit, Weights.Degree), cfg)
     val local = LocalGD.bipartition(g, Weights.localAll(g, Seq(Weights.Unit, Weights.Degree)),
       cfg.copy(iterations = 100))
@@ -62,8 +62,8 @@ class DistGDSpec extends SparkSpec {
   // same way; only the order of floating-point sums differs. Four blocks
   // instead of the suite's 64 keep Spark's per-task cost down.
   private lazy val agreementGraphs = Map(
-    "planted" -> GraphGen.plantedBisection(40, 0.2, 0.03, seed = 47),
-    "rmat" -> LocalGraph.fromDataFrame(GraphGen.toDF(spark, GraphGen.rmatLocal(7, 4, seed = 48)))._1)
+    "planted" -> TestGraphs.plantedBisection(40, 0.2, 0.03, seed = 47),
+    "rmat" -> LocalGraph.fromDataFrame(TestGraphs.toDF(spark, GraphGen.rmatLocal(7, 4, seed = 48)))._1)
 
   for (graph <- Seq("planted", "rmat"); d <- Seq(1, 2, 4); fixing <- Seq(true, false)) {
     test(s"LocalGD and DistGD agree per vertex: $graph graph, d=$d, vertex fixing $fixing") {
@@ -72,7 +72,7 @@ class DistGDSpec extends SparkSpec {
       val specs = Weights.All.take(d)
       val c = cfg.copy(vertexFixing = fixing)
       val local = LocalGD.bipartition(g, Weights.localAll(g, specs), c)
-      val edges = GraphGen.toDF(spark, g).persist()
+      val edges = TestGraphs.toDF(spark, g).persist()
       val dist = withBlocks(4)(DistGD.bipartition(spark, edges, specs, c))
       val parts = dist.assign.collect().map(r => r.getLong(0).toInt -> r.getInt(1)).toMap
       assert(dist.iterations == local.iterations)
@@ -93,7 +93,7 @@ class DistGDSpec extends SparkSpec {
   private def kway(graph: String, k: Int): (Array[Int], Array[Int]) = kwayParts.getOrElseUpdate((graph, k), {
     val g = agreementGraphs(graph)
     val local = RecursivePartitioner.partition(g, Weights.localAll(g, kwaySpecs), k, cfg)
-    val edges = GraphGen.toDF(spark, g).persist()
+    val edges = TestGraphs.toDF(spark, g).persist()
     val dist = Array.fill(g.n)(-1)
     withBlocks(4)(DistGD.partitionK(spark, edges, kwaySpecs, k, cfg)).collect()
       .foreach(r => dist(r.getLong(0).toInt) = r.getInt(1))
@@ -126,8 +126,8 @@ class DistGDSpec extends SparkSpec {
   }
 
   test("each GD iteration costs at most two Spark jobs") {
-    val g = GraphGen.plantedBisection(60, 0.2, 0.02, seed = 46)
-    val edges = GraphGen.toDF(spark, g).persist()
+    val g = TestGraphs.plantedBisection(60, 0.2, 0.02, seed = 46)
+    val edges = TestGraphs.toDF(spark, g).persist()
     val sc = spark.sparkContext
     // Without vertex fixing every run uses its whole iteration budget.
     def run(iterations: Int): (Int, Int) = {
@@ -156,22 +156,22 @@ class DistGDSpec extends SparkSpec {
   // holds for any assignment; five iterations keep 64 blocks cheap.
   private val short = cfg.copy(iterations = 5)
   private lazy val oracleGraphs: Map[String, () => DataFrame] = Map(
-    "planted" -> (() => GraphGen.toDF(spark, GraphGen.plantedBisection(150, 0.12, 0.01, seed = 41))),
-    "RMAT scale 8" -> (() => GraphGen.toDF(spark, GraphGen.rmatLocal(8, 4, seed = 42))),
-    "RMAT scale 8, ids 1000·i + 7" -> (() => GraphGen.toDF(spark, GraphGen.rmatLocal(8, 4, seed = 42))
+    "planted" -> (() => TestGraphs.toDF(spark, TestGraphs.plantedBisection(150, 0.12, 0.01, seed = 41))),
+    "RMAT scale 8" -> (() => TestGraphs.toDF(spark, GraphGen.rmatLocal(8, 4, seed = 42))),
+    "RMAT scale 8, ids 1000·i + 7" -> (() => TestGraphs.toDF(spark, GraphGen.rmatLocal(8, 4, seed = 42))
       .select((col("src") * 1000 + 7) as "src", (col("dst") * 1000 + 7) as "dst")))
 
   for (graph <- oracleGraphs.keys.toSeq.sorted; m <- Seq(4, 64)) {
     test(s"reported locality equals the DataFrame oracle: $graph, $m blocks") {
       val edges = oracleGraphs(graph)().persist()
       val res = withBlocks(m)(DistGD.bipartition(spark, edges, Seq(Weights.Unit, Weights.Degree), short))
-      assert(res.locality == GraphOps.edgeLocality(edges, res.assign))
+      assert(res.locality == SqlMetrics.edgeLocality(edges, res.assign))
       edges.unpersist()
     }
   }
 
   test("empty edge list: empty assignment, no iterations, locality 1") {
-    val edges = GraphGen.toDF(spark, GraphGen.path(10)).where(lit(false))
+    val edges = TestGraphs.toDF(spark, TestGraphs.path(10)).where(lit(false))
     val res = DistGD.bipartition(spark, edges, Seq(Weights.Unit, Weights.Degree), cfg)
     assert(res.assign.count() == 0)
     assert(res.iterations == 0)
@@ -185,7 +185,7 @@ class DistGDSpec extends SparkSpec {
     "partitionK k=4" -> (e => withBlocks(4)(DistGD.partitionK(spark, e, Seq(Weights.Unit), 4, short))))
 
   test("a call on a persisted edge list starts no Spark SQL execution") {
-    val edges = GraphGen.toDF(spark, GraphGen.plantedBisection(60, 0.2, 0.02, seed = 46)).persist()
+    val edges = TestGraphs.toDF(spark, TestGraphs.plantedBisection(60, 0.2, 0.02, seed = 46)).persist()
     edges.count()
     val sc = spark.sparkContext
     val executions = new AtomicInteger
@@ -212,7 +212,7 @@ class DistGDSpec extends SparkSpec {
   }
 
   test("a call leaves only the assignment's own data cached") {
-    val edges = GraphGen.toDF(spark, GraphGen.rmatLocal(8, 4, seed = 42)).persist()
+    val edges = TestGraphs.toDF(spark, GraphGen.rmatLocal(8, 4, seed = 42)).persist()
     edges.count()
     val sc = spark.sparkContext
     for ((name, call) <- calls) {
@@ -228,7 +228,7 @@ class DistGDSpec extends SparkSpec {
   }
 
   test("rejects non-default projection methods") {
-    val edges = GraphGen.toDF(spark, GraphGen.path(10))
+    val edges = TestGraphs.toDF(spark, TestGraphs.path(10))
     intercept[IllegalArgumentException] {
       DistGD.bipartition(spark, edges, Seq(Weights.Unit),
         cfg.copy(projection = ProjectionMethod.Exact))
@@ -237,31 +237,31 @@ class DistGDSpec extends SparkSpec {
 
   test("reported imbalance matches a recomputation from the assignment") {
     val g = GraphGen.rmatLocal(8, 5, seed = 44)
-    val edges = GraphGen.toDF(spark, g).persist()
+    val edges = TestGraphs.toDF(spark, g).persist()
     val res = DistGD.bipartition(spark, edges, Seq(Weights.Unit), cfg)
-    val w = Weights.weightsDF(spark, edges, Seq(Weights.Unit))
-    val imb = GraphOps.imbalance(res.assign, w.select(col("id"), col("w0") as "w"), "w", 2)
+    val w = SqlMetrics.weightsDF(spark, edges, Seq(Weights.Unit))
+    val imb = SqlMetrics.imbalance(res.assign, w.select(col("id"), col("w0") as "w"), "w", 2)
     assert(math.abs(imb - res.imbalances(0)) < 1e-6)
     edges.unpersist()
   }
 
   test("partitionK k=4 on planted communities: balanced, good locality") {
-    val g = GraphGen.plantedKCommunities(4, 40, 0.25, 0.01, seed = 45)
-    val edges = GraphGen.toDF(spark, g).persist()
+    val g = TestGraphs.plantedKCommunities(4, 40, 0.25, 0.01, seed = 45)
+    val edges = TestGraphs.toDF(spark, g).persist()
     val assign = DistGD.partitionK(spark, edges, Seq(Weights.Unit), 4,
       cfg.copy(iterations = 25))
     val parts = assign.select("part").distinct().count()
     assert(parts == 4)
-    val loc = GraphOps.edgeLocality(edges, assign)
+    val loc = SqlMetrics.edgeLocality(edges, assign)
     assert(loc > 0.5, s"k=4 locality $loc")
-    val w = Weights.weightsDF(spark, edges, Seq(Weights.Unit))
-    val imb = GraphOps.imbalance(assign, w.select(col("id"), col("w0") as "w"), "w", 4)
+    val w = SqlMetrics.weightsDF(spark, edges, Seq(Weights.Unit))
+    val imb = SqlMetrics.imbalance(assign, w.select(col("id"), col("w0") as "w"), "w", 4)
     assert(imb <= 0.3, s"k=4 imbalance $imb")
     edges.unpersist()
   }
 
   test("partitionK rejects non-power-of-two k") {
-    val edges = GraphGen.toDF(spark, GraphGen.path(10))
+    val edges = TestGraphs.toDF(spark, TestGraphs.path(10))
     intercept[IllegalArgumentException] {
       DistGD.partitionK(spark, edges, Seq(Weights.Unit), 3, cfg)
     }

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graphs.{GraphGen, GraphOps}
+import repro.graphs.{GraphGen, GraphOps, TestGraphs}
 
 /** Behaviour of the reference GD implementation (Algorithm 1 + §3.2). */
 class LocalGDSpec extends AnyFunSuite {
@@ -10,7 +10,7 @@ class LocalGDSpec extends AnyFunSuite {
     Weights.localAll(g, specs)
 
   test("two cliques with a bridge: GD recovers the clique split") {
-    val g = GraphGen.twoCliquesBridge(20)
+    val g = TestGraphs.twoCliquesBridge(20)
     val res = LocalGD.bipartition(g, wsFor(g, Seq(Weights.Unit)), GDConfig(eps = 0.05, seed = 1))
     // exactly one edge (the bridge) may be cut
     assert(res.locality >= (g.numEdges - 1).toDouble / g.numEdges)
@@ -24,7 +24,7 @@ class LocalGDSpec extends AnyFunSuite {
   // algorithm has the same property); require every seed to beat hash
   // soundly and most seeds to recover the planted cut almost exactly.
   private lazy val plantedRuns: Seq[Double] = {
-    val g = GraphGen.plantedBisection(100, 0.15, 0.01, seed = 11)
+    val g = TestGraphs.plantedBisection(100, 0.15, 0.01, seed = 11)
     (1L to 4L).map { seed =>
       LocalGD.bipartition(g, wsFor(g, Seq(Weights.Unit, Weights.Degree)),
         GDConfig(eps = 0.05, seed = seed)).locality
@@ -88,7 +88,7 @@ class LocalGDSpec extends AnyFunSuite {
 
   for (method <- Seq[ProjectionMethod](ProjectionMethod.OneShot, ProjectionMethod.Exact)) {
     test(s"projection method $method produces a balanced, better-than-hash cut") {
-      val g = GraphGen.plantedBisection(60, 0.2, 0.02, seed = 12)
+      val g = TestGraphs.plantedBisection(60, 0.2, 0.02, seed = 12)
       val res = LocalGD.bipartition(g, wsFor(g, Seq(Weights.Unit, Weights.Degree)),
         GDConfig(eps = 0.05, projection = method, seed = 5))
       assert(res.imbalances.max <= 0.05 + 0.03, s"imb ${res.imbalances.toSeq}")
@@ -129,7 +129,7 @@ class LocalGDSpec extends AnyFunSuite {
   }
 
   test("star graph: balance on degree forces the hub to be nearly alone") {
-    val g = GraphGen.star(101) // hub degree 100, leaves degree 1; W_deg = 200
+    val g = TestGraphs.star(101) // hub degree 100, leaves degree 1; W_deg = 200
     val res = LocalGD.bipartition(g, wsFor(g, Seq(Weights.Degree)), GDConfig(eps = 0.1, seed = 5))
     // hub side has deg weight >= 100 of total 200: balance means leaves split
     assert(res.imbalances.max <= 0.1 + 0.05)
@@ -142,7 +142,7 @@ class LocalGDSpec extends AnyFunSuite {
   }
 
   test("path graph bipartition cuts few edges") {
-    val g = GraphGen.path(200)
+    val g = TestGraphs.path(200)
     val res = LocalGD.bipartition(g, wsFor(g, Seq(Weights.Unit)), GDConfig(eps = 0.05, seed = 5))
     assert(res.locality >= 0.9, s"path locality ${res.locality}")
   }

@@ -10,6 +10,7 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 class ProjectionsPropertySpec extends AnyFunSuite {
   import Projections._
+  import ReferenceProjections._
 
   private val vecGen: Gen[Array[Double]] =
     for {

@@ -11,6 +11,7 @@ import scala.util.Random
   */
 class ProjectionsSpec extends AnyFunSuite {
   import Projections._
+  import ReferenceProjections._
 
   private def randInstance(rng: Random, n: Int, d: Int,
                            allowZeroWeights: Boolean = true) = {

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graphs.{GraphGen, GraphOps, LocalGraph}
+import repro.graphs.{GraphGen, GraphOps, LocalGraph, TestGraphs}
 import repro.baselines.HashPartition
 
 /** Recursive k-way partitioning (§3.3). */
@@ -36,7 +36,7 @@ class RecursiveSpec extends AnyFunSuite {
   }
 
   test("k=4 on 4 planted communities recovers high locality") {
-    val g = GraphGen.plantedKCommunities(4, 50, 0.25, 0.01, seed = 7)
+    val g = TestGraphs.plantedKCommunities(4, 50, 0.25, 0.01, seed = 7)
     val ws = Weights.localAll(g, Seq(Weights.Unit))
     val a = RecursivePartitioner.partition(g, ws, 4, GDConfig(eps = 0.05, seed = 5))
     val hash = HashPartition.partition(g.n, 4)

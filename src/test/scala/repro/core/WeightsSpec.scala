@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.{Oracle, SparkSpec}
-import repro.graphs.GraphGen
+import repro.graphs.{GraphGen, SqlMetrics, TestGraphs}
 
 /** Weight vectors: local vs DataFrame agreement and Oracle checks. */
 class WeightsSpec extends SparkSpec {
@@ -35,8 +35,8 @@ class WeightsSpec extends SparkSpec {
 
   test("weightsDF agrees with local weights on edge-incident vertices") {
     val g = GraphGen.rmatLocal(7, 4, seed = 2)
-    val edges = GraphGen.toDF(spark, g)
-    val df = Weights.weightsDF(spark, edges, Seq(Weights.Unit, Weights.Degree)).collect()
+    val edges = TestGraphs.toDF(spark, g)
+    val df = SqlMetrics.weightsDF(spark, edges, Seq(Weights.Unit, Weights.Degree)).collect()
     df.foreach { r =>
       val id = r.getLong(0).toInt
       assert(r.getDouble(1) == 1.0)
@@ -46,9 +46,9 @@ class WeightsSpec extends SparkSpec {
 
   test("weightsDF degree column matches DuckDB") {
     val g = GraphGen.rmatLocal(7, 4, seed = 3)
-    val edges = GraphGen.toDF(spark, g)
+    val edges = TestGraphs.toDF(spark, g)
     Oracle.assertEquivalent(
-      Weights.weightsDF(spark, edges, Seq(Weights.Degree))
+      SqlMetrics.weightsDF(spark, edges, Seq(Weights.Degree))
         .select(org.apache.spark.sql.functions.col("id"),
                 org.apache.spark.sql.functions.col("w0")),
       """SELECT x AS id, CAST(COUNT(*) AS DOUBLE) AS w0

@@ -2,7 +2,7 @@ package repro.giraph
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.baselines.HashPartition
-import repro.graphs.GraphGen
+import repro.graphs.{GraphGen, TestGraphs}
 
 /** The BSP cluster cost model. */
 class GiraphSimSpec extends AnyFunSuite {
@@ -35,7 +35,7 @@ class GiraphSimSpec extends AnyFunSuite {
   }
 
   test("a fully local partition communicates less than hash") {
-    val g = GraphGen.plantedBisection(200, 0.1, 0.005, seed = 63)
+    val g = TestGraphs.plantedBisection(200, 0.1, 0.005, seed = 63)
     val ideal = Array.tabulate(g.n)(v => if (v < 200) 0 else 1)
     val hash = HashPartition.partition(g.n, 2)
     val si = GiraphSim.simulate(GiraphSim.loads(g, ideal, 2), Workloads.PageRank)

@@ -49,27 +49,27 @@ class GraphGenSpec extends SparkSpec {
   }
 
   test("plantedBisection: intra density exceeds inter density") {
-    val g = GraphGen.plantedBisection(60, 0.2, 0.02, seed = 5)
+    val g = TestGraphs.plantedBisection(60, 0.2, 0.02, seed = 5)
     val within = g.edges.count { case (u, v) => (u < 60) == (v < 60) }
     val across = g.edges.length - within
     assert(within > 4 * across)
   }
 
   test("plantedKCommunities has k*per vertices") {
-    val g = GraphGen.plantedKCommunities(4, 30, 0.3, 0.02)
+    val g = TestGraphs.plantedKCommunities(4, 30, 0.3, 0.02)
     assert(g.n == 120)
     assert(g.numEdges > 0)
   }
 
   test("twoCliquesBridge structure") {
-    val g = GraphGen.twoCliquesBridge(6)
+    val g = TestGraphs.twoCliquesBridge(6)
     assert(g.n == 12)
     assert(g.numEdges == 15 + 15 + 1)
   }
 
   test("toDF roundtrips a LocalGraph") {
-    val g = GraphGen.plantedBisection(20, 0.3, 0.05, seed = 6)
-    val (g2, ids) = LocalGraph.fromDataFrame(GraphGen.toDF(spark, g))
+    val g = TestGraphs.plantedBisection(20, 0.3, 0.05, seed = 6)
+    val (g2, ids) = LocalGraph.fromDataFrame(TestGraphs.toDF(spark, g))
     // isolated vertices are dropped by the DF path; compare edge sets via ids
     val e2 = g2.edges.map { case (u, v) =>
       val (a, b) = (ids(u).toInt, ids(v).toInt); if (a < b) (a, b) else (b, a)

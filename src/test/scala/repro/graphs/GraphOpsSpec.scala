@@ -10,7 +10,7 @@ class GraphOpsSpec extends SparkSpec {
   import spark.implicits._
 
   private def assignDF(g: LocalGraph, assign: Array[Int]) =
-    GraphOps.assignToDF(spark, assign)
+    SqlMetrics.assignToDF(spark, assign)
 
   test("canonicalize flips, dedupes, and drops loops") {
     val raw = Seq((1L, 2L), (2L, 1L), (3L, 3L), (4L, 2L)).toDF("src", "dst")
@@ -20,19 +20,19 @@ class GraphOpsSpec extends SparkSpec {
 
   test("symmetrize doubles the canonical edge count") {
     val e = GraphGen.rmat(spark, 7, 4, seed = 2)
-    assert(GraphOps.symmetrize(e).count() == 2 * e.count())
+    assert(SqlMetrics.symmetrize(e).count() == 2 * e.count())
   }
 
   for ((name, mk) <- Seq[(String, () => LocalGraph)](
     "rmat-7"   -> (() => GraphGen.rmatLocal(7, 4, seed = 21)),
-    "planted"  -> (() => GraphGen.plantedBisection(25, 0.3, 0.05, seed = 22)),
-    "cliques"  -> (() => GraphGen.twoCliquesBridge(8)),
+    "planted"  -> (() => TestGraphs.plantedBisection(25, 0.3, 0.05, seed = 22)),
+    "cliques"  -> (() => TestGraphs.twoCliquesBridge(8)),
   )) {
     test(s"degrees match DuckDB ($name)") {
       val g = mk()
-      val edges = GraphGen.toDF(spark, g)
+      val edges = TestGraphs.toDF(spark, g)
       Oracle.assertEquivalent(
-        GraphOps.degrees(edges),
+        SqlMetrics.degrees(edges),
         """SELECT x AS id, COUNT(*) AS deg
           |FROM (SELECT src AS x FROM edges UNION ALL SELECT dst AS x FROM edges)
           |GROUP BY x""".stripMargin,
@@ -41,10 +41,10 @@ class GraphOpsSpec extends SparkSpec {
 
     test(s"localityDF matches DuckDB ($name)") {
       val g = mk()
-      val edges = GraphGen.toDF(spark, g)
+      val edges = TestGraphs.toDF(spark, g)
       val assign = assignDF(g, Array.tabulate(g.n)(v => v % 2))
       Oracle.assertEquivalent(
-        GraphOps.localityDF(edges, assign),
+        SqlMetrics.localityDF(edges, assign),
         """SELECT SUM(CASE WHEN a.part = b.part THEN 1 ELSE 0 END) AS uncut,
           |       COUNT(*) AS total,
           |       SUM(CASE WHEN a.part = b.part THEN 1 ELSE 0 END) * 1.0 / COUNT(*) AS locality
@@ -59,7 +59,7 @@ class GraphOpsSpec extends SparkSpec {
       val assign = assignDF(g, Array.tabulate(g.n)(v => v % 3))
       val weights = (0 until g.n).map(v => (v.toLong, g.degree(v).toDouble)).toDF("id", "w")
       Oracle.assertEquivalent(
-        GraphOps.partWeights(assign, weights, "w"),
+        SqlMetrics.partWeights(assign, weights, "w"),
         """SELECT a.part AS part, SUM(CAST(w.w AS DOUBLE)) AS total
           |FROM assign a JOIN weights w ON a.id = w.id
           |GROUP BY a.part""".stripMargin,
@@ -68,9 +68,9 @@ class GraphOpsSpec extends SparkSpec {
   }
 
   test("edgeLocality scalar agrees with the LocalGraph computation") {
-    val g = GraphGen.plantedBisection(30, 0.3, 0.05, seed = 31)
+    val g = TestGraphs.plantedBisection(30, 0.3, 0.05, seed = 31)
     val assign = Array.tabulate(g.n)(v => if (v < 30) 0 else 1)
-    val df = GraphOps.edgeLocality(GraphGen.toDF(spark, g), assignDF(g, assign))
+    val df = SqlMetrics.edgeLocality(TestGraphs.toDF(spark, g), assignDF(g, assign))
     assert(math.abs(df - g.edgeLocality(assign)) < 1e-12)
   }
 
@@ -79,7 +79,7 @@ class GraphOpsSpec extends SparkSpec {
     val assign = Array.tabulate(g.n)(v => v % 4)
     val w = Array.tabulate(g.n)(v => g.degree(v).toDouble)
     val weights = (0 until g.n).map(v => (v.toLong, w(v))).toDF("id", "w")
-    val df = GraphOps.imbalance(assignDF(g, assign), weights, "w", 4)
+    val df = SqlMetrics.imbalance(assignDF(g, assign), weights, "w", 4)
     assert(math.abs(df - GraphOps.imbalanceLocal(assign, w, 4)) < 1e-9)
   }
 

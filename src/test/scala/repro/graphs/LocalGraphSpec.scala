@@ -41,7 +41,7 @@ class LocalGraphSpec extends AnyFunSuite {
   }
 
   test("uncutEdges: all-same-part counts every edge; alternating path counts none") {
-    val p = GraphGen.path(10)
+    val p = TestGraphs.path(10)
     assert(p.uncutEdges(Array.fill(10)(0)) == 9)
     assert(p.uncutEdges(Array.tabulate(10)(_ % 2)) == 0)
     assert(p.edgeLocality(Array.fill(10)(1)) == 1.0)
@@ -68,7 +68,7 @@ class LocalGraphSpec extends AnyFunSuite {
   }
 
   test("inducedSubgraph preserves original ids mapping") {
-    val g = GraphGen.twoCliquesBridge(5)
+    val g = TestGraphs.twoCliquesBridge(5)
     val keep = Array.tabulate(g.n)(_ < 5)
     val (sub, toOld) = g.inducedSubgraph(keep)
     assert(toOld.toSeq == (0 until 5))
@@ -76,25 +76,25 @@ class LocalGraphSpec extends AnyFunSuite {
   }
 
   test("grid graph structure") {
-    val g = GraphGen.grid(3, 4)
+    val g = TestGraphs.grid(3, 4)
     assert(g.n == 12)
     assert(g.numEdges == 3 * 3 + 2 * 4) // horizontal + vertical
   }
 
   test("complete graph K6 has 15 edges, all degrees 5") {
-    val g = GraphGen.complete(6)
+    val g = TestGraphs.complete(6)
     assert(g.numEdges == 15)
     assert((0 until 6).forall(g.degree(_) == 5))
   }
 
   test("star graph has one hub") {
-    val g = GraphGen.star(10)
+    val g = TestGraphs.star(10)
     assert(g.degree(0) == 9)
     assert((1 until 10).forall(g.degree(_) == 1))
   }
 
   test("cycle degrees are all 2") {
-    val g = GraphGen.cycle(17)
+    val g = TestGraphs.cycle(17)
     assert((0 until 17).forall(g.degree(_) == 2))
     assert(g.numEdges == 17)
   }
@@ -136,10 +136,10 @@ class LocalGraphSpec extends AnyFunSuite {
   }
 
   test("inducedSubgraph keeps vertices the mask leaves isolated") {
-    val star = GraphGen.star(12)
+    val star = TestGraphs.star(12)
     checkInduced(star, Array.tabulate(12)(_ != 0)) // no hub: 11 isolated leaves
     assert(star.inducedSubgraph(Array.tabulate(12)(_ != 0))._1.numEdges == 0)
-    val path = GraphGen.path(15)
+    val path = TestGraphs.path(15)
     checkInduced(path, Array.tabulate(15)(_ % 3 != 1)) // isolated and paired vertices
     checkInduced(GraphGen.rmatLocal(8, 2, seed = 14), Array.tabulate(256)(_ % 2 == 0))
   }
