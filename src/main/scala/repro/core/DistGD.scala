@@ -13,8 +13,8 @@ import scala.reflect.ClassTag
   * Each call hash-partitions the symmetrized edge list by source into
   * `spark.sql.shuffle.partitions` blocks, once. A block holds its sorted
   * vertex ids, their d weight rows and a CSR adjacency over global neighbour
-  * ids (see [[Block]]). Per-vertex state (`x`, `fixed`, the list of free
-  * vertices, and the squared length of the step that produced them) stays
+  * ids (see [[Block]]). Per-vertex state (`x`, `fixed`, and the list of
+  * free vertices with the kernel's bookkeeping, [[GDKernel.Rows]]) stays
   * aligned with the blocks through `zipPartitions`, so a GD iteration is
   * one Spark job: every block sums `z` over its edges into one message
   * batch per destination block (the map-side combine), the shuffle
@@ -72,16 +72,11 @@ object DistGD {
   /** Sums of `z` over the neighbours of `ids`, from block `from`. */
   private final case class Messages(from: Int, ids: Array[Long], sums: Array[Double])
 
-  /** Per-vertex state of one block, aligned with its ids: `x`, `fixed`,
-    * the free [[GDKernel.Rows]] of the block and its last statistic `last`:
-    * the squared length of the block's part of the step that produced `x`,
-    * or after a final-projection pass the number of free vertices whose `x`
-    * differs from two passes back (+∞ after the first pass). After a
-    * final-projection pass, `back` is the `x` before it. A new state takes
-    * copies of the arrays it changes: cached states are never written.
+  /** Per-vertex state of one block, aligned with its ids: `x`, `fixed` and
+    * the block's free [[GDKernel.Rows]], which keep its GD bookkeeping. A new
+    * state takes copies of what it changes: cached states are never written.
     */
-  private final case class State(x: Array[Double], fixed: Array[Boolean], rows: GDKernel.Rows,
-                                 last: Double, back: Array[Double] = null)
+  private final case class State(x: Array[Double], fixed: Array[Boolean], rows: GDKernel.Rows)
 
   /** One iteration of a block: its state, the point `z` and `grad = A·z`. */
   private final case class Step(s: State, z: Array[Double], grad: Array[Double])
@@ -129,8 +124,8 @@ object DistGD {
     val kept = ArrayBuffer.empty[RDD[_]]
     def keep[U](rdd: RDD[U]): RDD[U] = { kept += rdd; rdd.localCheckpoint() }
     var parts = keep(blocks.map(b => (b.ids, new Array[Int](b.ids.length))))
-    def releaseAllBut(current: RDD[_]): Unit =
-      kept.filterInPlace(r => (r eq current) || (r eq parts) || { r.unpersist(blocking = false); false })
+    def releaseAllBut(live: RDD[_]*): Unit =
+      kept.filterInPlace(r => (r eq parts) || live.exists(r eq _) || { r.unpersist(blocking = false); false })
 
     var (imbalances, iterations) = (new Array[Double](d), 0)
     var seeds = Array(cfg.seed)
@@ -149,7 +144,7 @@ object DistGD {
         val W = totals.slice(piece * (1 + d) + 1, (piece + 1) * (1 + d))
         var state: RDD[State] = keep(perBlock(blocks, parts) { case (b, (ids, pt)) =>
           val (x, fixed) = (new Array[Double](ids.length), pt.map(_ != piece))
-          State(x, fixed, GDKernel.rows(b.w, x, fixed, 0, x.length), 0.0) })
+          State(x, fixed, GDKernel.rows(b.w, x, fixed, 0, x.length)) })
         var current: RDD[Step] = null
         /** `z`: `x`, plus `noise` times the draws on the free vertices. */
         def points(noise: Double) = (b: Block, s: State) =>
@@ -168,10 +163,9 @@ object DistGD {
               val b = bs.next(); val s = ss.next()
               Iterator(Step(s, point(b, s), gradient(b, ms)))
             }))
-            val v = sumUp(perBlock(blocks, current)((b, p) =>
-              GDKernel.stats(b.w, p.z, p.grad, p.s.rows, p.s.last)))
-            releaseAllBut(current)
-            state = keep(current.map(_.s))
+            val v = sumUp(perBlock(blocks, current)((b, p) => GDKernel.stats(b.w, p.z, p.grad, p.s.rows)))
+            // The state stays too: the rounding reads it if no step follows.
+            releaseAllBut(current, state)
             v
           }
 
@@ -179,22 +173,22 @@ object DistGD {
             val fixAt = GDKernel.fixAt(cfg)
             state = keep(perBlock(blocks, current) { (b, p) =>
               val (x, fixed, rows) = (p.s.x.clone(), p.s.fixed.clone(), p.s.rows.copy())
-              State(x, fixed, rows, GDKernel.step(b.w, x, fixed, rows, p.z, p.grad, gamma, alpha, fixAt))
+              GDKernel.step(b.w, x, fixed, rows, p.z, p.grad, gamma, alpha, fixAt)
+              State(x, fixed, rows)
             })
           }
 
           def slabStats(): Array[Double] = {
-            val v = sumUp(perBlock(blocks, state)((b, s) => GDKernel.slabStats(b.w, s.x, s.rows, s.last)))
+            val v = sumUp(perBlock(blocks, state)((b, s) => GDKernel.slabStats(b.w, s.x, s.rows)))
             releaseAllBut(state)
             v
           }
 
-          /** Writes over a copy of the `x` of two passes back, once there is one. */
           def shift(alpha: Array[Double]): Unit =
             state = keep(perBlock(blocks, state) { (b, s) =>
-              val x = (if (s.back == null) s.x else s.back).clone()
-              val changed = GDKernel.shift(b.w, s.x, s.rows, alpha, x)
-              State(x, s.fixed, s.rows, if (s.back == null) Double.PositiveInfinity else changed, s.x)
+              val (x, rows) = (s.x.clone(), s.rows.copy())
+              GDKernel.shift(b.w, x, rows, alpha)
+              State(x, s.fixed, rows)
             })
         }, totals(piece * (1 + d)).toLong, W, cfg)
 

@@ -15,9 +15,10 @@ import repro.SplitMix.mix
   * order in which the ranges' sums are added. The operations visit the free
   * rows of a range only, from its list of them; the sums that change only
   * with the fixed set (the Gram entries and `F`) are kept with the list and
-  * summed again only for a range whose fixed set changed. Every sum adds
-  * the same terms in the same row order as a loop over the whole range that
-  * skips the fixed rows.
+  * summed again only for a range whose fixed set changed, and so is the
+  * range's GD bookkeeping, which the executors therefore do not hold. Every
+  * sum adds the same terms in the same row order as a loop over the whole
+  * range that skips the fixed rows.
   *
   * The one-shot projection is solved in closed form: projecting
   * `y = z + γ·grad` onto the planes `⟨w_j, y⟩ = −F_j` one after another
@@ -37,10 +38,7 @@ object GDKernel {
     def stepStats(noise: Double): Array[Double]
     /** [[step]] from the last `z` and `grad`. */
     def step(gamma: Double, alpha: Array[Double]): Unit
-    /** [[slabStats]] of `x`, with `last` the number of free vertices whose
-      * `x` differs from two [[shift]]s back, or +∞ where that is not known.
-      * It is read after the second shift only.
-      */
+    /** [[slabStats]] of `x`. */
     def slabStats(): Array[Double]
     /** [[shift]] of `x`: one alternating-projection pass. */
     def shift(alpha: Array[Double]): Unit
@@ -70,17 +68,24 @@ object GDKernel {
   // ---- Per-block operations ----
 
   /** The rows `[lo, hi)` of a block (a `LocalGD` chunk, or a whole `DistGD`
-    * block) as the operations below see them: the free rows, increasing, in
-    * `free(0 until n)`, and `fixedSums`, the statistics that change only
-    * with that set: the Gram upper triangle over the free rows, then `F`
-    * over the fixed ones. [[step]] compacts `free` in place and, when it
-    * fixes a row, sums `fixedSums` again into a new array, so a [[copy]] may
-    * share it.
+    * block) as the operations below see them, with the range's GD
+    * bookkeeping:
+    *  - `free(0 until n)`: the free rows, increasing;
+    *  - `fixedSums`: the statistics that change only with the free set, the
+    *    Gram upper triangle over the free rows, then `F` over the fixed ones;
+    *  - `last`: the squared length of the range's part of the last [[step]],
+    *    or after a [[shift]] the number of free rows that it changed against
+    *    `back`;
+    *  - `back`: made by the first [[shift]], the free rows' `x` in list
+    *    order that the next shift compares against.
+    * [[step]] compacts `free` in place and, when it fixes a row, sums
+    * `fixedSums` again into a new array, so a [[copy]] may share it.
     */
   final class Rows(val lo: Int, val hi: Int, val free: Array[Int], var n: Int,
-                   var fixedSums: Array[Double]) extends Serializable {
-    /** A copy whose list [[step]] compacts without touching this one's. */
-    def copy(): Rows = new Rows(lo, hi, free.clone(), n, fixedSums)
+                   var fixedSums: Array[Double], var last: Double = 0.0,
+                   var back: Array[Double] = null) extends Serializable {
+    /** A copy that [[step]] and [[shift]] change without touching this one. */
+    def copy(): Rows = new Rows(lo, hi, free.clone(), n, fixedSums, last, if (back == null) null else back.clone())
   }
 
   /** The [[Rows]] of `[lo, hi)`: the rows not `fixed`, and `F` from `x`. */
@@ -138,21 +143,11 @@ object GDKernel {
     v
   }
 
-  /** `Σ a(i)·b(i)` over the rows `i` of `free(0 until n)`, in list order. */
-  private def dot(a: Array[Double], b: Array[Double], free: Array[Int], n: Int): Double = {
-    var s = 0.0
-    var k = 0
-    while (k < n) { val i = free(k); s += a(i) * b(i); k += 1 }
-    s
-  }
-
   /** Over the free rows of `r` `‖grad‖²`, `S`, `T` and the Gram upper
-    * triangle, over the fixed ones `F`, then the free count and `stepSq`,
-    * the squared length of the step that produced `x` there. Reads `z` and
-    * `grad` of free rows only.
+    * triangle, over the fixed ones `F`, then the free count and `r.last`.
+    * Reads `z` and `grad` of free rows only.
     */
-  def stats(w: Array[Array[Double]], z: Array[Double], grad: Array[Double], r: Rows,
-            stepSq: Double): Array[Double] = {
+  def stats(w: Array[Array[Double]], z: Array[Double], grad: Array[Double], r: Rows): Array[Double] = {
     val d = w.length
     val v = new Array[Double](freeAt(d) + 2)
     val free = r.free
@@ -179,36 +174,29 @@ object GDKernel {
       v(1 + d + j) = t
       j += 1
     }
-    withFixedSet(v, d, r, stepSq)
-  }
-
-  /** [[stats]] of `x` over `r` with a zero gradient, and `last` in place
-    * of `stepSq`.
-    */
-  def slabStats(w: Array[Array[Double]], x: Array[Double], r: Rows, last: Double): Array[Double] = {
-    val d = w.length
-    val v = new Array[Double](freeAt(d) + 2)
-    var j = 0
-    while (j < d) { v(1 + j) = dot(w(j), x, r.free, r.n); j += 1 }
-    withFixedSet(v, d, r, last)
-  }
-
-  /** `v` with the Gram entries, `F` and the free count of `r`, and `last`. */
-  private def withFixedSet(v: Array[Double], d: Int, r: Rows, last: Double): Array[Double] = {
     System.arraycopy(r.fixedSums, 0, v, gramAt(d), r.fixedSums.length)
     v(freeAt(d)) = r.n
-    v(freeAt(d) + 1) = last
+    v(freeAt(d) + 1) = r.last
+    v
+  }
+
+  /** [[stats]] of `x` over `r` with a zero gradient. */
+  def slabStats(w: Array[Array[Double]], x: Array[Double], r: Rows): Array[Double] = {
+    val v = stats(w, x, x, r)
+    v(0) = 0.0
+    java.util.Arrays.fill(v, 1 + w.length, gramAt(w.length), 0.0)
     v
   }
 
   /** Moves every free row `i` of `r` to `clip(z + γ·grad − Σ_j α_j·w_j)` and
     * fixes it at its sign if `|x| ≥ fixAt`, in place in `x` and `fixed`,
-    * dropping it from `r`'s list; fixed rows stay. Returns the squared step
-    * length over the rows that were free, measured before fixing.
+    * dropping it from `r`'s list; fixed rows stay. Sets `r.last` to the
+    * squared step length over the rows that were free, measured before
+    * fixing.
     */
   def step(w: Array[Array[Double]], x: Array[Double], fixed: Array[Boolean], r: Rows,
            z: Array[Double], grad: Array[Double], gamma: Double, alpha: Array[Double],
-           fixAt: Double): Double = {
+           fixAt: Double): Unit = {
     val free = r.free
     var sq = 0.0
     var m = 0
@@ -226,7 +214,7 @@ object GDKernel {
       k += 1
     }
     if (m < r.n) { r.n = m; r.fixedSums = fixedSums(w, x, fixed, r) }
-    sq
+    r.last = sq
   }
 
   /** The `α` for [[step]] that makes it the exact projection (paper §2.2,
@@ -338,13 +326,15 @@ object GDKernel {
     Array.tabulate(d)(k => a(k)(d) / a(k)(k) * sc(k))
   }
 
-  /** Writes `clip(x − Σ_j α_j·w_j)` of every free row of `r` into `out`,
-    * which may be `x`: [[step]] with a zero gradient and no fixing. Fixed
-    * rows are not written. Returns how many free rows changed their `out`,
-    * bit for bit.
+  /** Moves every free row `i` of `r` to `clip(x − Σ_j α_j·w_j)` in place:
+    * [[step]] with a zero gradient and no fixing. Sets `r.last` to the
+    * number of free rows whose new `x` differs, bit for bit, from `r.back`,
+    * then keeps their old `x` in `back`. The first shift makes `back` from
+    * the `x` it starts from, so it counts against that `x`, and every later
+    * shift against the `x` of two shifts back.
     */
-  def shift(w: Array[Array[Double]], x: Array[Double], r: Rows, alpha: Array[Double],
-            out: Array[Double]): Int = {
+  def shift(w: Array[Array[Double]], x: Array[Double], r: Rows, alpha: Array[Double]): Unit = {
+    if (r.back == null) r.back = Array.tabulate(r.n)(k => x(r.free(k)))
     var changed = 0
     var k = 0
     while (k < r.n) {
@@ -353,11 +343,12 @@ object GDKernel {
       var j = 0
       while (j < alpha.length) { y -= alpha(j) * w(j)(i); j += 1 }
       y = Projections.clip(y)
-      if (java.lang.Double.doubleToRawLongBits(y) != java.lang.Double.doubleToRawLongBits(out(i))) changed += 1
-      out(i) = y
+      if (java.lang.Double.doubleToRawLongBits(y) != java.lang.Double.doubleToRawLongBits(r.back(k))) changed += 1
+      r.back(k) = x(i)
+      x(i) = y
       k += 1
     }
-    changed
+    r.last = changed
   }
 
   /** `W_j = Σ_i w_j(i)` per dimension, added in element order. */
@@ -420,11 +411,12 @@ object GDKernel {
   /** §3.1: "in the last iterations we run the alternating projections
     * method until convergence", for at most `cfg.finalProjIters` passes.
     * Stops once every slab holds (to `1e-9·(1 + W_j)`) or no vertex is
-    * free to move. Also stops once a pass returns the `x` of two passes
-    * back, which a fixed point does too: a pass is a function of `x`, so
-    * the rest of the budget would alternate between the last two `x`
-    * without meeting the slabs. It takes one more pass first if the rest
-    * of the budget is odd, and so ends on the `x` the budget would end on.
+    * free to move. Also stops once the first pass returns the `x` it
+    * started from, or a later pass the `x` of two passes back ([[shift]]
+    * counts the rows that differ): a pass is a function of `x`, so the rest
+    * of the budget would alternate between the last two `x` without meeting
+    * the slabs. It takes one more pass first if the rest of the budget is
+    * odd, and so ends on the `x` the budget would end on.
     */
   private[core] def finalProjection(b: Blocks, W: Array[Double], cfg: GDConfig): Unit = {
     val d = W.length
@@ -435,7 +427,7 @@ object GDKernel {
       done = v(freeAt(d)) == 0 || (0 until d).forall(j =>
         math.abs(v(1 + j) + v(fixedAt(d) + j)) <= cfg.eps * W(j) + 1e-9 * (1 + W(j)))
       if (!done) {
-        val cycles = pass >= 2 && v(freeAt(d) + 1) == 0
+        val cycles = pass >= 1 && v(freeAt(d) + 1) == 0
         if (!cycles || (cfg.finalProjIters - pass) % 2 == 1) b.shift(planeCoefficients(v, d, 0.0))
         pass += 1
         done = cycles

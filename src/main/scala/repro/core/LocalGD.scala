@@ -123,46 +123,38 @@ object LocalGD {
   }
 
   /** The [[GDKernel.Blocks]] of a call on `g`, over its [[chunks]]. `x`,
-    * `fixed` and the chunks' [[rows]] are the state; the gradient is
-    * computed for free rows only, into one buffer for the whole call.
-    * Vertex `i` draws its noise and rounding by `id(i)`.
+    * `fixed` and the chunks' [[rows]], which keep each chunk's GD
+    * bookkeeping, are the state; every pass writes `x` in place, and the
+    * gradient is computed for free rows only, into one buffer for the whole
+    * call. Vertex `i` draws its noise and rounding by `id(i)`.
     */
   private[core] final class Chunked(g: LocalGraph, ws: Array[Array[Double]], cfg: GDConfig,
                                     id: Int => Long = i => i) extends GDKernel.Blocks {
     val bounds: Array[Int] = chunks(g)
     /** `W_j`, the total weights. */
     val W: Array[Double] = GDKernel.totals(ws)
-    private var cur = new Array[Double](g.n)
-    def x: Array[Double] = cur
+    val x = new Array[Double](g.n)
     val fixed = new Array[Boolean](g.n)
     /** The free rows of each chunk. */
     val rows = new Array[GDKernel.Rows](bounds.length - 1)
-    eachChunk(bounds)((c, lo, hi) => rows(c) = GDKernel.rows(ws, cur, fixed, lo, hi))
+    eachChunk(bounds)((c, lo, hi) => rows(c) = GDKernel.rows(ws, x, fixed, lo, hi))
     private val d = ws.length
     private val fixAt = GDKernel.fixAt(cfg)
     private val grad = new Array[Double](g.n)
-    private var z = cur
+    private var z = x
     private var stats = Array.emptyDoubleArray
     private val partStats = new Array[Array[Double]](bounds.length - 1)
-    /** Each chunk's last statistic: the squared length of its part of the
-      * last step, or, from the third final-projection pass on, the number of
-      * its free rows whose `x` differs from two passes back (+∞ before).
-      */
-    private val partLast = new Array[Double](bounds.length - 1)
-    private var shifts = 0
-    /** From the second final-projection pass on, the `x` before the last pass. */
-    private var back: Array[Double] = null
     val traceRows = ArrayBuffer.empty[GDTraceRow]
 
     def stepStats(noise: Double): Array[Double] = {
       if (noise != 0.0) {
         z = new Array[Double](g.n)
         eachChunk(bounds)((_, lo, hi) => for (i <- lo until hi)
-          z(i) = if (fixed(i)) cur(i) else cur(i) + noise * GDKernel.gauss(cfg.seed, id(i)))
-      } else z = cur
+          z(i) = if (fixed(i)) x(i) else x(i) + noise * GDKernel.gauss(cfg.seed, id(i)))
+      } else z = x
       eachChunk(bounds) { (c, _, _) =>
         rowSums(g, z, rows(c).free, rows(c).n, grad)
-        partStats(c) = GDKernel.stats(ws, z, grad, rows(c), partLast(c))
+        partStats(c) = GDKernel.stats(ws, z, grad, rows(c))
       }
       stats = GDKernel.sumInOrder(partStats)
       stats
@@ -175,32 +167,21 @@ object LocalGD {
         GDKernel.exactCoefficients(ws, fixed, z, grad, gamma,
           Array.tabulate(d)(j => -cfg.eps * W(j) - f(j)), Array.tabulate(d)(j => cfg.eps * W(j) - f(j)))._1
       }
-      eachChunk(bounds)((c, _, _) => partLast(c) = GDKernel.step(ws, cur, fixed, rows(c), z, grad, gamma, a, fixAt))
+      eachChunk(bounds)((c, _, _) => GDKernel.step(ws, x, fixed, rows(c), z, grad, gamma, a, fixAt))
       if (cfg.trace) traceRows += traceRow(traceRows.length)
     }
 
     def slabStats(): Array[Double] = {
-      eachChunk(bounds)((c, _, _) => partStats(c) = GDKernel.slabStats(ws, cur, rows(c), partLast(c)))
+      eachChunk(bounds)((c, _, _) => partStats(c) = GDKernel.slabStats(ws, x, rows(c)))
       GDKernel.sumInOrder(partStats)
     }
 
-    /** The first pass runs in place. From the second on, passes alternate
-      * between `x` and a second buffer, so from the third on a pass writes
-      * over the `x` of two passes back and counts the rows it changes.
-      */
-    def shift(alpha: Array[Double]): Unit = {
-      shifts += 1
-      val from = cur
-      val out = if (shifts == 1) cur else if (back == null) cur.clone() else back
-      eachChunk(bounds)((c, _, _) => partLast(c) = GDKernel.shift(ws, from, rows(c), alpha, out))
-      if (shifts <= 2) java.util.Arrays.fill(partLast, Double.PositiveInfinity)
-      if (out ne from) { back = from; cur = out }
-    }
+    def shift(alpha: Array[Double]): Unit = eachChunk(bounds)((c, _, _) => GDKernel.shift(ws, x, rows(c), alpha))
 
     /** The rounded sides of `x` (§3.1), drawn per chunk. */
     def sides(): Array[Int] = {
       val side = new Array[Int](g.n)
-      eachChunk(bounds)((_, lo, hi) => for (i <- lo until hi) side(i) = GDKernel.side(cfg.seed, id(i), cur(i), fixed(i)))
+      eachChunk(bounds)((_, lo, hi) => for (i <- lo until hi) side(i) = GDKernel.side(cfg.seed, id(i), x(i), fixed(i)))
       side
     }
 
@@ -230,7 +211,7 @@ object LocalGD {
     val b = new Chunked(g, ws, cfg, id)
     val iterations = GDKernel.run(b, g.n, b.W, cfg)
     val side = b.sides()
-    Rounding.repair(side, b.x, ws, cfg.eps, b.W)
+    Rounding.repair(side, b.x, ws, cfg.eps)
     GDResult(b.x, side, b.locality(side), b.imbalances(side), b.traceRows.toSeq, iterations)
   }
 }
@@ -238,15 +219,10 @@ object LocalGD {
 /** [[GDKernel.repair]] on in-core sides: vertex ids are indices. */
 object Rounding {
 
-  def repair(side: Array[Int], x: Array[Double], ws: Array[Array[Double]], eps: Double): Unit =
-    repair(side, x, ws, eps, GDKernel.totals(ws))
-
-  /** With the total weights `W` of `ws`. */
-  def repair(side: Array[Int], x: Array[Double], ws: Array[Array[Double]], eps: Double,
-             W: Array[Double]): Unit = {
+  def repair(side: Array[Int], x: Array[Double], ws: Array[Array[Double]], eps: Double): Unit = {
     // A stable sort, so ties in |x| go to the smaller id.
     lazy val order = Array.range(0, side.length).sortBy(i => math.abs(x(i)))
-    GDKernel.repair(GDKernel.sideSums(ws, side), W, eps,
+    GDKernel.repair(GDKernel.sideSums(ws, side), GDKernel.totals(ws), eps,
       heavy => order.iterator.filter(side(_) == heavy).map(i => (i.toLong, ws.map(_(i)))),
       id => side(id.toInt) = 1 - side(id.toInt))
   }

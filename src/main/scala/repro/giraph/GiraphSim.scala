@@ -1,6 +1,6 @@
 package repro.giraph
 
-import repro.graphs.{GraphOps, LocalGraph}
+import repro.graphs.LocalGraph
 import scala.util.Random
 
 /** Cost-model simulator of a vertex-centric BSP (Giraph-like) cluster.
@@ -71,9 +71,29 @@ object GiraphSim {
   /** Per-worker static loads derived from the partition. */
   final case class Loads(vertices: Array[Long], internal: Array[Long], cutEnds: Array[Long])
 
+  /** For each part: vertex count, internal (uncut) edges, and cut-edge
+    * endpoints (== remote messages out == remote messages in per superstep
+    * per message wave).
+    */
   def loads(g: LocalGraph, assign: Array[Int], k: Int): Loads = {
-    val (v, i, c) = GraphOps.workerLoadsLocal(g, assign, k)
-    Loads(v, i, c)
+    val l = Loads(new Array[Long](k), new Array[Long](k), new Array[Long](k))
+    var v = 0
+    while (v < g.n) { l.vertices(assign(v)) += 1; v += 1 }
+    var u = 0
+    while (u < g.n) {
+      var i = g.offsets(u)
+      val end = g.offsets(u + 1)
+      while (i < end) {
+        val w = g.adj(i)
+        if (u < w) {
+          if (assign(u) == assign(w)) l.internal(assign(u)) += 1
+          else { l.cutEnds(assign(u)) += 1; l.cutEnds(assign(w)) += 1 }
+        }
+        i += 1
+      }
+      u += 1
+    }
+    l
   }
 
   /** Simulate a run; per-sample runtime/communication statistics plus the

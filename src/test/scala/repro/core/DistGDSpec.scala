@@ -27,7 +27,7 @@ class DistGDSpec extends SparkSpec {
   test("planted bisection: balanced and far better than hash") {
     val g = TestGraphs.plantedBisection(150, 0.12, 0.01, seed = 41)
     val edges = TestGraphs.toDF(spark, g).persist()
-    val res = DistGD.bipartition(spark, edges, Seq(Weights.Unit, Weights.Degree), cfg)
+    val res = withBlocks(4)(DistGD.bipartition(spark, edges, Seq(Weights.Unit, Weights.Degree), cfg))
     assert(res.imbalances.max <= 0.05 + 0.05, s"imbalances ${res.imbalances.toSeq}")
     assert(res.locality > 0.7, s"locality ${res.locality}")
     val hash = repro.baselines.HashPartition.partition(g.n, 2)
@@ -248,8 +248,8 @@ class DistGDSpec extends SparkSpec {
   test("partitionK k=4 on planted communities: balanced, good locality") {
     val g = TestGraphs.plantedKCommunities(4, 40, 0.25, 0.01, seed = 45)
     val edges = TestGraphs.toDF(spark, g).persist()
-    val assign = DistGD.partitionK(spark, edges, Seq(Weights.Unit), 4,
-      cfg.copy(iterations = 25))
+    val assign = withBlocks(4)(DistGD.partitionK(spark, edges, Seq(Weights.Unit), 4,
+      cfg.copy(iterations = 25)))
     val parts = assign.select("part").distinct().count()
     assert(parts == 4)
     val loc = SqlMetrics.edgeLocality(edges, assign)

@@ -12,8 +12,9 @@ class GDKernelSpec extends AnyFunSuite {
   /** Blocks of ten unit-weight vertices at x = 1, the first `free` of them
     * free: Σ x = 10 is far outside the slab |Σ x| ≤ 0.5. A shift maps the
     * last x and the α it is given to the next x by `pass`. The stub keeps every
-    * x; its last statistic counts the free vertices whose x differs from two
-    * shifts back (+∞ before the second shift, or always if not `detect`).
+    * x; as after [[GDKernel.shift]], its last statistic counts the vertices
+    * whose x differs from the x the first shift started from, and from the
+    * second shift on from two shifts back (or is always 1 if not `detect`).
     */
   private class Stub(free: Int, pass: (GDKernel.Rows, Array[Double], Array[Double]) => Array[Double],
                      detect: Boolean = true) extends GDKernel.Blocks {
@@ -23,9 +24,10 @@ class GDKernelSpec extends AnyFunSuite {
     def stepStats(noise: Double): Array[Double] = ???
     def step(gamma: Double, alpha: Array[Double]): Unit = ???
     def slabStats(): Array[Double] = {
-      val changed = if (!detect || xs.length < 3) Double.PositiveInfinity
-        else xs.last.indices.count(i => doubleToRawLongBits(xs.last(i)) != doubleToRawLongBits(xs(xs.length - 3)(i))).toDouble
-      GDKernel.slabStats(unit, xs.last, rows, changed)
+      val back = xs(math.max(xs.length - 3, 0))
+      rows.last = if (!detect) 1.0
+        else xs.last.indices.count(i => doubleToRawLongBits(xs.last(i)) != doubleToRawLongBits(back(i))).toDouble
+      GDKernel.slabStats(unit, xs.last, rows)
     }
     def shift(alpha: Array[Double]): Unit = xs += pass(rows, xs.last, alpha)
   }
@@ -33,7 +35,7 @@ class GDKernelSpec extends AnyFunSuite {
   /** [[GDKernel.shift]] with the given `α` times `scale`. */
   private def kernelPass(scale: Double)(r: GDKernel.Rows, x: Array[Double], alpha: Array[Double]): Array[Double] = {
     val out = x.clone()
-    GDKernel.shift(unit, x, r, alpha.map(_ * scale), out)
+    GDKernel.shift(unit, out, r, alpha.map(_ * scale))
     out
   }
 
@@ -68,6 +70,70 @@ class GDKernelSpec extends AnyFunSuite {
         assert(stopped.xs.last.sameElements(full.xs.last), s"budget $budget")
       }
     }
+
+  // ---- The repeat count that GDKernel.shift keeps in Rows ----
+
+  test("shift counts the free rows that differ from the x it started from, then from two shifts back") {
+    // Rows 1 and 4 fixed at 1. Each count below but the first and the last
+    // differs from a count against the x of one shift back.
+    val w = Array(Array.fill(5)(1.0))
+    val fixed = Array(false, true, false, false, true)
+    val x = Array(0.0, 1.0, 0.5, -1.0, 1.0)
+    val r = GDKernel.rows(w, x, fixed, 0, 5)
+    val counts = Seq(0.25, -0.25, 0.25, 0.25, 0.0, -0.5).map { alpha =>
+      GDKernel.shift(w, x, r, Array(alpha))
+      r.last
+    }
+    // The free rows go (0, 0.5, −1) → (−0.25, 0.25, −1) → (0, 0.5, −0.75)
+    // → (−0.25, 0.25, −1) → (−0.5, 0, −1) → (−0.5, 0, −1) → (0, 0.5, −0.5).
+    assert(counts == Seq(2.0, 1.0, 0.0, 3.0, 2.0, 3.0))
+    assert(x(1) == 1.0 && x(4) == 1.0)
+  }
+
+  /** [[GDKernel.Blocks]] of one range of `unit` weights, on the kernel's own
+    * [[GDKernel.Rows]] and [[GDKernel.shift]].
+    */
+  private class OneRange(val x: Array[Double], fixed: Array[Boolean]) extends GDKernel.Blocks {
+    private val rows = GDKernel.rows(unit, x, fixed, 0, x.length)
+    var shifts = 0
+    def stepStats(noise: Double): Array[Double] = ???
+    def step(gamma: Double, alpha: Array[Double]): Unit = ???
+    def slabStats(): Array[Double] = GDKernel.slabStats(unit, x, rows)
+    def shift(alpha: Array[Double]): Unit = { GDKernel.shift(unit, x, rows, alpha); shifts += 1 }
+  }
+
+  test("a range whose first pass returns its x stops the final projection after 1 + (budget - 1) % 2 shifts") {
+    // Nine vertices fixed at 1 and one free at −1: the plane step pushes the
+    // free one below −1, and the cube clips it back.
+    for (budget <- 1 to 8) {
+      val b = new OneRange(Array.tabulate(10)(i => if (i == 0) -1.0 else 1.0), Array.tabulate(10)(_ > 0))
+      GDKernel.finalProjection(b, Array(10.0), GDConfig(eps = 0.05, finalProjIters = budget))
+      assert(b.shifts == 1 + (budget - 1) % 2, s"budget $budget")
+      assert(b.x(0) == -1.0)
+    }
+  }
+
+  test("shift and step on a Rows.copy() leave the original's last, back, list and n unchanged") {
+    val w = Array(Array.tabulate(6)(i => 1.0 + i))
+    val x = Array(0.0, 0.5, -1.0, 0.9, -0.2, 1.0)
+    val fixed = Array.tabulate(6)(_ == 5)
+    val r = GDKernel.rows(w, x, fixed, 0, 6)
+    GDKernel.shift(w, x, r, Array(0.1))
+    val (last, back, free, n) = (r.last, bits(r.back), r.free.toSeq, r.n)
+    def unchanged(): Unit =
+      assert(r.last == last && bits(r.back) == back && r.free.toSeq == free && r.n == n)
+
+    val shifted = r.copy()
+    GDKernel.shift(w, x.clone(), shifted, Array(-10.0))
+    assert(shifted.last != last && bits(shifted.back) != back)
+    unchanged()
+    // x is about (−0.1, 0.3, −1, 0.5, −0.7, 1): a step of 0.5 along a unit
+    // gradient fixes row 3 at 1.
+    val stepped = r.copy()
+    GDKernel.step(w, x.clone(), fixed.clone(), stepped, x, Array.fill(6)(1.0), 0.5, Array(0.0), 0.99)
+    assert(stepped.n == n - 1 && stepped.last != last)
+    unchanged()
+  }
 
   // ---- Per-block operations against a loop over every row ----
 
@@ -116,8 +182,10 @@ class GDKernelSpec extends AnyFunSuite {
         for ((lo, hi) <- ranges) {
           val r = GDKernel.rows(w, x, fixed, lo, hi)
           assert(r.free.take(r.n).toSeq == (lo until hi).filter(!fixed(_)))
-          assert(bits(GDKernel.stats(w, z, grad, r, 0.25)) == bits(statsReference(w, x, fixed, z, grad, 0.25, lo, hi)))
-          assert(bits(GDKernel.slabStats(w, x, r, 3.0)) == bits(statsReference(w, x, fixed, x, zero, 3.0, lo, hi)))
+          r.last = 0.25
+          assert(bits(GDKernel.stats(w, z, grad, r)) == bits(statsReference(w, x, fixed, z, grad, 0.25, lo, hi)))
+          r.last = 3.0
+          assert(bits(GDKernel.slabStats(w, x, r)) == bits(statsReference(w, x, fixed, x, zero, 3.0, lo, hi)))
 
           // A step that fixes some rows, against the same step on every row.
           val (gamma, alpha) = (0.3, Array.fill(d)(1e-3 * rng.nextGaussian()))
@@ -132,12 +200,13 @@ class GDKernelSpec extends AnyFunSuite {
             x1(i) = if (!fixed1(i)) y else if (y >= 0) 1.0 else -1.0
           }
           val (x2, fixed2) = (x.clone(), fixed.clone())
-          val stepSq = GDKernel.step(w, x2, fixed2, r, z, grad, gamma, alpha, 0.95)
-          assert(doubleToRawLongBits(stepSq) == doubleToRawLongBits(sq))
+          GDKernel.step(w, x2, fixed2, r, z, grad, gamma, alpha, 0.95)
+          assert(doubleToRawLongBits(r.last) == doubleToRawLongBits(sq))
           assert(bits(x2) == bits(x1) && fixed2.sameElements(fixed1))
           assert(r.free.take(r.n).toSeq == (lo until hi).filter(!fixed1(_)))
-          assert(bits(GDKernel.stats(w, z, grad, r, sq)) == bits(statsReference(w, x1, fixed1, z, grad, sq, lo, hi)))
-          assert(bits(GDKernel.slabStats(w, x1, r, 0.0)) == bits(statsReference(w, x1, fixed1, x1, zero, 0.0, lo, hi)))
+          assert(bits(GDKernel.stats(w, z, grad, r)) == bits(statsReference(w, x1, fixed1, z, grad, sq, lo, hi)))
+          r.last = 0.0
+          assert(bits(GDKernel.slabStats(w, x1, r)) == bits(statsReference(w, x1, fixed1, x1, zero, 0.0, lo, hi)))
         }
       }
     }

@@ -211,7 +211,11 @@ class LocalGDSpec extends AnyFunSuite {
     /** Stats at `x` with `z` and a full sequential mat-vec, chunk sums added in order. */
     def reference(x: Array[Double], fixed: Array[Boolean], z: Array[Double], sqs: Seq[Double]): Array[Double] = {
       val grad = matvecReference(g, z)
-      ranges.zip(sqs).map { case ((lo, hi), sq) => GDKernel.stats(ws, z, grad, GDKernel.rows(ws, x, fixed, lo, hi), sq) }
+      ranges.zip(sqs).map { case ((lo, hi), sq) =>
+        val r = GDKernel.rows(ws, x, fixed, lo, hi)
+        r.last = sq
+        GDKernel.stats(ws, z, grad, r)
+      }
         .reduceLeft((p, q) => p.indices.map(k => p(k) + q(k)).toArray)
     }
     // t = 0: the noise alone, no vertex fixed.
@@ -226,7 +230,9 @@ class LocalGDSpec extends AnyFunSuite {
     val x1 = x0.clone()
     val fixed1 = fixed0.clone()
     val sqs = ranges.map { case (lo, hi) =>
-      GDKernel.step(ws, x1, fixed1, GDKernel.rows(ws, x1, fixed1, lo, hi), z0, grad0, gamma, alpha, GDKernel.fixAt(cfg))
+      val r = GDKernel.rows(ws, x1, fixed1, lo, hi)
+      GDKernel.step(ws, x1, fixed1, r, z0, grad0, gamma, alpha, GDKernel.fixAt(cfg))
+      r.last
     }
     b.step(gamma, alpha)
     assert(b.x.sameElements(x1) && b.fixed.sameElements(fixed1))

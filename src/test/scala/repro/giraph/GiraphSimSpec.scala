@@ -12,6 +12,21 @@ class GiraphSimSpec extends AnyFunSuite {
     (g, GiraphSim.loads(g, HashPartition.partition(g.n, k), k))
   }
 
+  test("loads accounts every edge exactly once") {
+    val g = GraphGen.rmatLocal(8, 4, seed = 51)
+    val assign = Array.tabulate(g.n)(v => v % 3)
+    val GiraphSim.Loads(vc, internal, cutEnds) = GiraphSim.loads(g, assign, 3)
+    assert(vc.sum == g.n)
+    assert(internal.sum + cutEnds.sum / 2 == g.numEdges)
+  }
+
+  test("loads: single part has zero cut ends") {
+    val g = GraphGen.rmatLocal(7, 4, seed = 52)
+    val GiraphSim.Loads(_, internal, cutEnds) = GiraphSim.loads(g, Array.fill(g.n)(0), 1)
+    assert(cutEnds.forall(_ == 0))
+    assert(internal(0) == g.numEdges)
+  }
+
   test("simulate is deterministic in the seed") {
     val (_, l) = loadsFor(9, 4)
     val a = GiraphSim.simulate(l, Workloads.PageRank, seed = 3)

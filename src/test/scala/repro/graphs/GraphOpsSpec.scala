@@ -94,21 +94,6 @@ class GraphOpsSpec extends SparkSpec {
     assert(math.abs(GraphOps.imbalanceLocal(assign, Array.fill(100)(1.0), 4) - 1.0) < 1e-12)
   }
 
-  test("workerLoadsLocal accounts every edge exactly once") {
-    val g = GraphGen.rmatLocal(8, 4, seed = 51)
-    val assign = Array.tabulate(g.n)(v => v % 3)
-    val (vc, internal, cutEnds) = GraphOps.workerLoadsLocal(g, assign, 3)
-    assert(vc.sum == g.n)
-    assert(internal.sum + cutEnds.sum / 2 == g.numEdges)
-  }
-
-  test("workerLoadsLocal: single part has zero cut ends") {
-    val g = GraphGen.rmatLocal(7, 4, seed = 52)
-    val (_, internal, cutEnds) = GraphOps.workerLoadsLocal(g, Array.fill(g.n)(0), 1)
-    assert(cutEnds.forall(_ == 0))
-    assert(internal(0) == g.numEdges)
-  }
-
   test("vertexIds covers both endpoints") {
     val e = Seq((1L, 2L), (2L, 3L)).toDF("src", "dst")
     val ids = GraphOps.vertexIds(e).collect().map(_.getLong(0)).sorted
