@@ -17,7 +17,7 @@ class LocalityBench extends AnyFunSuite {
   private lazy val fig6 = Experiments.figure6()
   private lazy val dim4 = Experiments.fourDim()
 
-  private def get(rows: Seq[Experiments.LocalityRow], graph: String, algo: String, k: Int) =
+  private def get(rows: Seq[Experiments.AlgoRow], graph: String, algo: String, k: Int) =
     rows.find(r => r.graph == graph && r.algo == algo && r.k == k).get.locality
 
   test("figure 5: all 18 combinations reported") { assert(fig5.size == 18) }

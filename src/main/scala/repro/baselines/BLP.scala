@@ -55,15 +55,15 @@ object BLP {
     // its vertex cap or its edge (degree) cap fills — this is what keeps a
     // hub from dragging a whole neighborhood into one oversized cluster.
     val totalDeg = (0 until n).map(g.degree(_).toLong).sum.toDouble
-    val vCapSeed = math.max(1.0, n.toDouble / numClusters * (1.0 + CapSlack))
-    val eCapSeed = math.max(1.0, totalDeg / numClusters * (1.0 + CapSlack))
+    val vCap = math.max(1.0, n.toDouble / numClusters * (1.0 + CapSlack))
+    val eCap = math.max(1.0, totalDeg / numClusters * (1.0 + CapSlack))
     val cluster = new Array[Int](n)
     var cid = 0
     var curV = 0.0
     var curE = 0.0
     bfsOrder.foreach { v =>
       val deg = g.degree(v).toDouble
-      if (curV > 0 && (curV + 1 > vCapSeed || curE + deg > eCapSeed)) {
+      if (curV > 0 && (curV + 1 > vCap || curE + deg > eCap)) {
         cid += 1; curV = 0.0; curE = 0.0
       }
       cluster(v) = cid
@@ -76,8 +76,6 @@ object BLP {
     val eLoad = new Array[Double](actualClusters)
     var v = 0
     while (v < n) { vLoad(cluster(v)) += 1; eLoad(cluster(v)) += g.degree(v); v += 1 }
-    val vCap = vCapSeed
-    val eCap = eCapSeed
 
     val counts = new Array[Double](actualClusters)
     val touched = new Array[Int](actualClusters)

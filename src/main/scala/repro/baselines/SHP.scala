@@ -77,7 +77,6 @@ object SHP {
           val from = part(v)
           val to = if (from == p) q else p
           part(v) = to
-          load(from) -= cw(v); load(to) += cw(v)
           moved += 1
         }
       }

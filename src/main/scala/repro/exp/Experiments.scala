@@ -3,11 +3,12 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import repro.baselines.{BLP, HashPartition, SHP, Spinner}
 import repro.core._
-import repro.giraph.{GiraphSim, SimStats, WorkloadSpec, Workloads}
+import repro.giraph.{GiraphSim, SimStats, Workloads}
 import repro.graphs.{GraphGen, GraphOps, LocalGraph}
 
 /** Experiment harnesses -- one function per table/figure of the paper's
-  * evaluation (§4). Each returns typed rows so the bench suites can assert
+  * evaluation (§4), Figures 4–6 over [[algoRuns]] and §4.1 and Figures 8–10
+  * over [[gdRuns]]. Each returns typed rows so the bench suites can assert
   * the paper's *shape* claims, and prints a paper-style table.
   *
   * Graphs are the synthetic substitutes of DESIGN.md §4; paper-vs-measured
@@ -15,9 +16,14 @@ import repro.graphs.{GraphGen, GraphOps, LocalGraph}
   */
 object Experiments {
 
+  /** GD as the tables run it: ε = 0.03, seed 5, the rest `GDConfig`'s defaults. */
+  private val Base = GDConfig(eps = 0.03, seed = 5)
+
+  private val UnitDegree = Seq(Weights.Unit, Weights.Degree)
+
   /** GD in a given balance mode via recursive bipartitioning. */
   private def gdAssign(g: LocalGraph, specs: Seq[String], k: Int, eps: Double): Array[Int] =
-    RecursivePartitioner.partition(g, Weights.localAll(g, specs), k, GDConfig(eps = eps, seed = 5))
+    RecursivePartitioner.partition(g, Weights.localAll(g, specs), k, Base.copy(eps = eps))
 
   /** The partitioning policies of Table 1 / Figure 7. */
   val Policies: Seq[String] = Seq("hash", "vertex", "edge", "vertex-edge")
@@ -27,7 +33,7 @@ object Experiments {
       case "hash"        => HashPartition.partition(g.n, k)
       case "vertex"      => gdAssign(g, Seq(Weights.Unit), k, eps)
       case "edge"        => gdAssign(g, Seq(Weights.Degree), k, eps)
-      case "vertex-edge" => gdAssign(g, Seq(Weights.Unit, Weights.Degree), k, eps)
+      case "vertex-edge" => gdAssign(g, UnitDegree, k, eps)
       case other         => throw new IllegalArgumentException(other)
     }
 
@@ -37,15 +43,21 @@ object Experiments {
   def algoAssign(algo: String, g: LocalGraph, k: Int): Array[Int] =
     algo match {
       case "Hash"    => HashPartition.partition(g.n, k)
-      case "GD"      => gdAssign(g, Seq(Weights.Unit, Weights.Degree), k, 0.01)
+      case "GD"      => gdAssign(g, UnitDegree, k, 0.01)
       case "Spinner" => Spinner.partition(g, k)
       case "BLP"     => BLP.partition(g, k)
       case "SHP"     => SHP.partition(g, k)
       case other     => throw new IllegalArgumentException(other)
     }
 
+  private def liveJournal = "LiveJournal-lite" -> GraphGen.liveJournalLiteLocal()
+  private def orkut = "Orkut-lite" -> GraphGen.orkutLiteLocal()
+
+  def publicGraphs(): Seq[(String, LocalGraph)] =
+    Seq(liveJournal, orkut, "Twitter-lite" -> GraphGen.twitterLiteLocal())
+
   // ------------------------------------------------------------------
-  // Table 1: PR runtime & communication per worker on FB-lite
+  // Table 1 and Figure 7: the four policies on the Giraph simulator
   // ------------------------------------------------------------------
 
   final case class Table1Row(policy: String, stats: SimStats,
@@ -56,12 +68,12 @@ object Experiments {
     * calibrated so the Hash mean matches the paper's 95 s (and Hash comm
     * mean matches 69.5 GB) -- the relative structure is emergent.
     */
-  def table1(scale: Int = 15, k: Int = 16, eps: Double = 0.03): Seq[Table1Row] = {
+  def table1(scale: Int, k: Int): Seq[Table1Row] = {
     val g = GraphGen.fbLiteLocal(scale)
     val wUnit = Weights.local(g, Weights.Unit)
     val wDeg = Weights.local(g, Weights.Degree)
     val raw = Policies.map { p =>
-      val a = policyAssign(p, g, k, eps)
+      val a = policyAssign(p, g, k, Base.eps)
       val stats = GiraphSim.simulate(GiraphSim.loads(g, a, k), Workloads.PageRank, seed = 77)
       Table1Row(p, stats, g.edgeLocality(a),
         GraphOps.imbalanceLocal(a, wUnit, k), GraphOps.imbalanceLocal(a, wDeg, k))
@@ -84,93 +96,13 @@ object Experiments {
     rows
   }
 
-  // ------------------------------------------------------------------
-  // Figure 4 (as table): multi-dimensional imbalance of all algorithms
-  // ------------------------------------------------------------------
-
-  final case class ImbalanceRow(graph: String, algo: String, k: Int,
-                                vertexImb: Double, edgeImb: Double)
-
-  def publicGraphs(): Seq[(String, LocalGraph)] = Seq(
-    "LiveJournal-lite" -> GraphGen.liveJournalLiteLocal(),
-    "Orkut-lite"       -> GraphGen.orkutLiteLocal(),
-    "Twitter-lite"     -> GraphGen.twitterLiteLocal(),
-  )
-
-  def imbalanceTable(ks: Seq[Int] = Seq(2, 8)): Seq[ImbalanceRow] = {
-    val rows = for {
-      (name, g) <- publicGraphs()
-      k <- ks
-      algo <- Algorithms
-    } yield {
-      val a = algoAssign(algo, g, k)
-      ImbalanceRow(name, algo, k,
-        GraphOps.imbalanceLocal(a, Weights.local(g, Weights.Unit), k),
-        GraphOps.imbalanceLocal(a, Weights.local(g, Weights.Degree), k))
-    }
-    Tab.show(s"Figure 4 (as table) -- vertex/edge imbalance (max/avg - 1)",
-      Seq("graph", "algo", "k", "vertexImb", "edgeImb"),
-      rows.map(r => Seq(r.graph, r.algo, r.k, r.vertexImb, r.edgeImb)))
-    rows
-  }
-
-  // ------------------------------------------------------------------
-  // Figures 5/6 + §4.1 4-dim runs (as tables): edge locality
-  // ------------------------------------------------------------------
-
-  final case class LocalityRow(graph: String, algo: String, k: Int, locality: Double)
-
-  def localityTable(graphs: Seq[(String, LocalGraph)], ks: Seq[Int],
-                    title: String): Seq[LocalityRow] = {
-    val rows = for {
-      (name, g) <- graphs
-      k <- ks
-      algo <- Seq("Hash", "GD", "BLP")
-    } yield LocalityRow(name, algo, k, g.edgeLocality(algoAssign(algo, g, k)))
-    Tab.show(title, Seq("graph", "algo", "k", "locality"),
-      rows.map(r => Seq(r.graph, r.algo, r.k, r.locality)))
-    rows
-  }
-
-  def figure5(): Seq[LocalityRow] =
-    localityTable(publicGraphs(), Seq(2, 8), "Figure 5 (as table) -- edge locality, public graphs")
-
-  def figure6(): Seq[LocalityRow] =
-    localityTable(
-      Seq("FB-lite-14" -> GraphGen.fbLiteLocal(14), "FB-lite-15" -> GraphGen.fbLiteLocal(15)),
-      Seq(16, 128), "Figure 6 (as table) -- edge locality, FB-lite graphs")
-
-  final case class FourDimRow(graph: String, locality: Double, maxImb: Double)
-
-  /** §4.1: d = 4 (1, deg, √deg, deg²), ε = 0.01, k = 2.
-    * Paper: LiveJournal 87.6%, Orkut 81.9%.
-    */
-  def fourDim(): Seq[FourDimRow] = {
-    val rows = Seq(
-      "LiveJournal-lite" -> GraphGen.liveJournalLiteLocal(),
-      "Orkut-lite"       -> GraphGen.orkutLiteLocal(),
-    ).map { case (name, g) =>
-      val res = LocalGD.bipartition(g, Weights.localAll(g, Weights.All),
-        GDConfig(eps = 0.01, seed = 5))
-      FourDimRow(name, res.locality, res.imbalances.max)
-    }
-    Tab.show(s"Sec 4.1 -- 4-dimensional balance (1, deg, sqrt(deg), deg^2), eps=0.01, k=2",
-      Seq("graph", "locality", "maxImb"),
-      rows.map(r => Seq(r.graph, r.locality, r.maxImb)))
-    rows
-  }
-
-  // ------------------------------------------------------------------
-  // Figure 7 (as table): Giraph speedups vs Hash
-  // ------------------------------------------------------------------
-
   final case class SpeedupRow(workload: String, config: String, policy: String,
                               speedupPct: Double)
 
   def speedups(): Seq[SpeedupRow] = {
     val configs = Seq(("small", GraphGen.fbLiteLocal(15), 16), ("large", GraphGen.fbLiteLocal(16), 128))
     val rows = configs.flatMap { case (cname, g, k) =>
-      val assigns = Policies.map(p => p -> policyAssign(p, g, k, eps = 0.03)).toMap
+      val assigns = Policies.map(p => p -> policyAssign(p, g, k, Base.eps)).toMap
       val loadsByPolicy = assigns.map { case (p, a) => p -> GiraphSim.loads(g, a, k) }
       Workloads.All.flatMap { wl =>
         val totals = loadsByPolicy.map { case (p, l) =>
@@ -189,76 +121,98 @@ object Experiments {
   }
 
   // ------------------------------------------------------------------
-  // Figures 8/9/10 (as tables): GD parameters
+  // Figures 4/5/6 (as tables): partitioners over graphs × k
   // ------------------------------------------------------------------
 
-  final case class StepRow(graph: String, stepFactor: Double, locality: Double)
+  final case class AlgoRow(graph: String, algo: String, k: Int,
+                           locality: Double, vertexImb: Double, edgeImb: Double)
 
-  /** Figure 8: locality under fixed step length factor·√n/100. */
-  def stepSizeSweep(): Seq[StepRow] = {
-    val graphs = Seq(
-      "LiveJournal-lite" -> GraphGen.liveJournalLiteLocal(),
-      "Orkut-lite"       -> GraphGen.orkutLiteLocal(),
-    )
+  /** Each of `algos` on each graph at each k: edge locality and the vertex
+    * and edge imbalance (max/avg - 1) of its partition.
+    */
+  def algoRuns(title: String, graphs: Seq[(String, LocalGraph)], ks: Seq[Int],
+               algos: Seq[String]): Seq[AlgoRow] = {
     val rows = for {
       (name, g) <- graphs
-      factor <- Seq(0.5, 1.0, 2.0, 4.0, 8.0)
+      k <- ks
+      algo <- algos
     } yield {
-      val res = LocalGD.bipartition(g, Weights.localAll(g, Seq(Weights.Unit, Weights.Degree)),
-        GDConfig(eps = 0.03, stepFactor = factor, seed = 5))
-      StepRow(name, factor, res.locality)
+      val a = algoAssign(algo, g, k)
+      AlgoRow(name, algo, k, g.edgeLocality(a),
+        GraphOps.imbalanceLocal(a, Weights.local(g, Weights.Unit), k),
+        GraphOps.imbalanceLocal(a, Weights.local(g, Weights.Degree), k))
     }
-    Tab.show(s"Figure 8 (as table) -- locality vs step-length factor (x sqrt(n)/100)",
-      Seq("graph", "factor", "locality"),
-      rows.map(r => Seq(r.graph, r.stepFactor, r.locality)))
+    Tab.show(title, Seq("graph", "algo", "k", "locality", "vertexImb", "edgeImb"),
+      rows.map(r => Seq(r.graph, r.algo, r.k, r.locality, r.vertexImb, r.edgeImb)))
     rows
   }
 
-  final case class AdaptiveRow(variant: String, locality: Double, maxImb: Double)
+  def imbalanceTable(): Seq[AlgoRow] =
+    algoRuns("Figure 4 (as table) -- vertex/edge imbalance (max/avg - 1)",
+      publicGraphs(), Seq(2, 8), Algorithms)
+
+  def figure5(): Seq[AlgoRow] =
+    algoRuns("Figure 5 (as table) -- edge locality, public graphs",
+      publicGraphs(), Seq(2, 8), Seq("Hash", "GD", "BLP"))
+
+  def figure6(): Seq[AlgoRow] =
+    algoRuns("Figure 6 (as table) -- edge locality, FB-lite graphs",
+      Seq("FB-lite-14" -> GraphGen.fbLiteLocal(14), "FB-lite-15" -> GraphGen.fbLiteLocal(15)),
+      Seq(16, 128), Seq("Hash", "GD", "BLP"))
+
+  // ------------------------------------------------------------------
+  // §4.1 and Figures 8/9/10 (as tables): GD bipartitions over graphs × configs
+  // ------------------------------------------------------------------
+
+  final case class GDRow(graph: String, cfg: GDConfig, locality: Double, maxImb: Double)
+
+  /** `LocalGD.bipartition` of each graph, balancing `specs`, under each of
+    * `cfgs`: edge locality and the largest imbalance over the dimensions.
+    */
+  def gdRuns(title: String, graphs: Seq[(String, LocalGraph)], specs: Seq[String],
+             cfgs: Seq[GDConfig]): Seq[GDRow] = {
+    val rows = for {
+      (name, g) <- graphs
+      ws = Weights.localAll(g, specs)
+      cfg <- cfgs
+    } yield {
+      val res = LocalGD.bipartition(g, ws, cfg)
+      GDRow(name, cfg, res.locality, res.imbalances.max)
+    }
+    Tab.show(title,
+      Seq("graph", "eps", "projection", "adaptive", "fixing", "factor", "locality", "maxImb"),
+      rows.map(r => Seq(r.graph, r.cfg.eps, r.cfg.projection, r.cfg.adaptiveStep,
+        r.cfg.vertexFixing, r.cfg.stepFactor, r.locality, r.maxImb)))
+    rows
+  }
+
+  /** §4.1: d = 4 (1, deg, √deg, deg²), ε = 0.01, k = 2.
+    * Paper: LiveJournal 87.6%, Orkut 81.9%.
+    */
+  def fourDim(): Seq[GDRow] =
+    gdRuns("Sec 4.1 -- 4-dimensional balance (1, deg, sqrt(deg), deg^2), eps=0.01, k=2",
+      Seq(liveJournal, orkut), Weights.All, Seq(Base.copy(eps = 0.01)))
+
+  /** Figure 8: locality under fixed step length factor·√n/100. */
+  def stepSizeSweep(): Seq[GDRow] =
+    gdRuns("Figure 8 (as table) -- locality vs step-length factor (x sqrt(n)/100)",
+      Seq(liveJournal, orkut), UnitDegree,
+      Seq(0.5, 1.0, 2.0, 4.0, 8.0).map(f => Base.copy(stepFactor = f)))
 
   /** Figure 9: non-adaptive vs adaptive vs adaptive + vertex fixing. */
-  def adaptiveComparison(): Seq[AdaptiveRow] = {
-    val g = GraphGen.liveJournalLiteLocal()
-    val ws = Weights.localAll(g, Seq(Weights.Unit, Weights.Degree))
-    val variants = Seq(
-      ("non-adaptive",      GDConfig(eps = 0.03, adaptiveStep = false, vertexFixing = false, seed = 5)),
-      ("adaptive",          GDConfig(eps = 0.03, adaptiveStep = true,  vertexFixing = false, seed = 5)),
-      ("adaptive+fixing",   GDConfig(eps = 0.03, adaptiveStep = true,  vertexFixing = true,  seed = 5)),
-    )
-    val rows = variants.map { case (name, cfg) =>
-      val res = LocalGD.bipartition(g, ws, cfg)
-      AdaptiveRow(name, res.locality, res.imbalances.max)
-    }
-    Tab.show(s"Figure 9 (as table) -- step-size strategy (LiveJournal-lite, k=2)",
-      Seq("variant", "locality", "maxImb"),
-      rows.map(r => Seq(r.variant, r.locality, r.maxImb)))
-    rows
-  }
-
-  final case class ProjectionRow(method: String, eps: Double, locality: Double, maxImb: Double)
+  def adaptiveComparison(): Seq[GDRow] =
+    gdRuns("Figure 9 (as table) -- step-size strategy (LiveJournal-lite, k=2)",
+      Seq(liveJournal), UnitDegree,
+      Seq(Base.copy(adaptiveStep = false, vertexFixing = false), Base.copy(vertexFixing = false), Base))
 
   /** Figure 10: exact projection at several allowed imbalances vs one-shot
     * alternating, on the graph of Figure 9.
     */
-  def projectionComparison(): Seq[ProjectionRow] = {
-    val g = GraphGen.liveJournalLiteLocal()
-    val ws = Weights.localAll(g, Seq(Weights.Unit, Weights.Degree))
-    val exact = Seq(0.01, 0.05, 0.1, 0.2).map { e =>
-      val res = LocalGD.bipartition(g, ws,
-        GDConfig(eps = e, projection = ProjectionMethod.Exact, seed = 5))
-      ProjectionRow("exact", e, res.locality, res.imbalances.max)
-    }
-    val oneShot = Seq(0.01, 0.05).map { e =>
-      val res = LocalGD.bipartition(g, ws,
-        GDConfig(eps = e, projection = ProjectionMethod.OneShot, seed = 5))
-      ProjectionRow("one-shot", e, res.locality, res.imbalances.max)
-    }
-    val rows = exact ++ oneShot
-    Tab.show(s"Figure 10 (as table) -- projection method comparison (LiveJournal-lite, k=2)",
-      Seq("method", "eps", "locality", "maxImb"),
-      rows.map(r => Seq(r.method, r.eps, r.locality, r.maxImb)))
-    rows
-  }
+  def projectionComparison(): Seq[GDRow] =
+    gdRuns("Figure 10 (as table) -- projection method comparison (LiveJournal-lite, k=2)",
+      Seq(liveJournal), UnitDegree,
+      Seq(0.01, 0.05, 0.1, 0.2).map(e => Base.copy(eps = e, projection = ProjectionMethod.Exact)) ++
+        Seq(0.01, 0.05).map(e => Base.copy(eps = e)))
 
   // ------------------------------------------------------------------
   // Figure 11 (as table): DistGD scalability
@@ -266,15 +220,13 @@ object Experiments {
 
   final case class ScaleRow(graph: String, vertices: Long, edges: Long, seconds: Double)
 
-  def scalability(spark: SparkSession, scales: Seq[Int] = Seq(13, 14, 15, 16),
-                  iterations: Int = 30): Seq[ScaleRow] = {
+  def scalability(spark: SparkSession, scales: Seq[Int], iterations: Int): Seq[ScaleRow] = {
     val rows = scales.map { s =>
       val edges = GraphGen.fbLite(spark, s).persist()
       val e = edges.count()
       val v = GraphOps.vertexIds(edges).count()
       val t0 = System.nanoTime()
-      DistGD.bipartition(spark, edges, Seq(Weights.Unit, Weights.Degree),
-        GDConfig(eps = 0.03, iterations = iterations, seed = 5))
+      DistGD.bipartition(spark, edges, UnitDegree, Base.copy(iterations = iterations))
       val secs = (System.nanoTime() - t0) / 1e9
       edges.unpersist()
       ScaleRow(s"FB-lite-$s", v, e, secs)

@@ -77,19 +77,14 @@ object GiraphSim {
     */
   def loads(g: LocalGraph, assign: Array[Int], k: Int): Loads = {
     val l = Loads(new Array[Long](k), new Array[Long](k), new Array[Long](k))
-    var v = 0
-    while (v < g.n) { l.vertices(assign(v)) += 1; v += 1 }
     var u = 0
     while (u < g.n) {
-      var i = g.offsets(u)
-      val end = g.offsets(u + 1)
-      while (i < end) {
-        val w = g.adj(i)
+      l.vertices(assign(u)) += 1
+      g.foreachNeighbor(u) { w =>
         if (u < w) {
           if (assign(u) == assign(w)) l.internal(assign(u)) += 1
           else { l.cutEnds(assign(u)) += 1; l.cutEnds(assign(w)) += 1 }
         }
-        i += 1
       }
       u += 1
     }
@@ -102,8 +97,8 @@ object GiraphSim {
   def simulate(l: Loads, wl: WorkloadSpec, seed: Long = 1234): SimStats = {
     val k = l.vertices.length
     val rng = new Random(seed)
-    val times = Array.ofDim[Double](wl.supersteps, k)
-    val comms = Array.ofDim[Double](wl.supersteps, k)
+    val ts = new Array[Double](wl.supersteps * k)
+    val cs = new Array[Double](wl.supersteps * k)
     var total = 0.0
     var s = 0
     while (s < wl.supersteps) {
@@ -114,16 +109,14 @@ object GiraphSim {
         val remote = l.cutEnds(w) * wl.msgsPerEdge
         val base = wl.cVertex * l.vertices(w) + wl.cMsg * msgsIn + wl.cNet * 2.0 * remote
         val noisy = base * (1.0 + 0.05 * rng.nextGaussian())
-        times(s)(w) = math.max(0.0, noisy)
-        comms(s)(w) = remote * wl.bytesPerMsg
-        if (times(s)(w) > mx) mx = times(s)(w)
+        ts(s * k + w) = math.max(0.0, noisy)
+        cs(s * k + w) = remote * wl.bytesPerMsg
+        if (ts(s * k + w) > mx) mx = ts(s * k + w)
         w += 1
       }
       total += mx
       s += 1
     }
-    val ts = times.flatten
-    val cs = comms.flatten
     SimStats(mean(ts), ts.max, std(ts), mean(cs), cs.max, std(cs), total)
   }
 

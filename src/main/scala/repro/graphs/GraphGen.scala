@@ -32,24 +32,23 @@ object GraphGen {
   }
 
   /** Distributed RMAT: `2^scale` vertices, `edgeFactor * 2^scale` edge draws,
-    * canonicalized (src < dst, no self-loops, distinct). Power-law degree
-    * skew grows with `a`.
+    * canonicalized (src < dst, no self-loops, distinct); [[rmatLocal]]'s default skew.
     */
-  def rmat(spark: SparkSession, scale: Int, edgeFactor: Int, seed: Long = 42,
-           a: Double = 0.57, b: Double = 0.19, c: Double = 0.19): DataFrame = {
+  def rmat(spark: SparkSession, scale: Int, edgeFactor: Int, seed: Long = 42): DataFrame = {
     import spark.implicits._
     val numDraws = (1L << scale) * edgeFactor
     val drawn = spark.range(numDraws).as[Long].mapPartitions { it =>
       it.map { i =>
         val rng = new Random(mix(seed, i))
-        rmatEdge(rng, scale, a, b, c)
+        rmatEdge(rng, scale, 0.57, 0.19, 0.19)
       }
     }.toDF("src", "dst")
     GraphOps.canonicalize(drawn)
   }
 
   /** Driver-side RMAT with identical semantics to [[rmat]] (same seed ⇒ same
-    * graph, modulo vertex-id compaction done by the caller).
+    * graph, modulo vertex-id compaction done by the caller). Power-law degree
+    * skew grows with `a`.
     */
   def rmatLocal(scale: Int, edgeFactor: Int, seed: Long = 42,
                 a: Double = 0.57, b: Double = 0.19, c: Double = 0.19): LocalGraph = {

@@ -49,7 +49,7 @@ class DistGDSpec extends SparkSpec {
   test("locality is comparable to the in-core reference on the same graph") {
     val g = TestGraphs.plantedBisection(100, 0.15, 0.02, seed = 43)
     val edges = TestGraphs.toDF(spark, g).persist()
-    val dist = DistGD.bipartition(spark, edges, Seq(Weights.Unit, Weights.Degree), cfg)
+    val dist = withBlocks(4)(DistGD.bipartition(spark, edges, Seq(Weights.Unit, Weights.Degree), cfg))
     val local = LocalGD.bipartition(g, Weights.localAll(g, Seq(Weights.Unit, Weights.Degree)),
       cfg.copy(iterations = 100))
     assert(dist.locality > local.locality - 0.15,
@@ -137,8 +137,8 @@ class DistGDSpec extends SparkSpec {
       }
       sc.addSparkListener(listener)
       try {
-        val res = DistGD.bipartition(spark, edges, Seq(Weights.Unit),
-          cfg.copy(iterations = iterations, vertexFixing = false))
+        val res = withBlocks(4)(DistGD.bipartition(spark, edges, Seq(Weights.Unit),
+          cfg.copy(iterations = iterations, vertexFixing = false)))
         ListenerBusDrain(sc)
         res.assign.unpersist()
         (jobs.get, res.iterations)

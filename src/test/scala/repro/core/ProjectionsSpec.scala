@@ -73,7 +73,7 @@ class ProjectionsSpec extends AnyFunSuite {
       val n = 5 + rng.nextInt(50)
       val (y, ws, los, his) = randInstance(rng, n, 1)
       val ex = ExactProjection(y, ws, los, his)
-      assert(feasible(ex, ws, los, his, 1e-6), "exact1D result infeasible")
+      assert(feasible(ex, ws, los, his, 1e-6), "exact projection at d=1: result infeasible")
       val dy = dykstra(y, ws, los, his, maxIter = 8000, tol = 1e-13)
       assert(feasible(dy, ws, los, his, 1e-5), "dykstra result infeasible")
       val dEx = dist(ex, y)
@@ -90,7 +90,7 @@ class ProjectionsSpec extends AnyFunSuite {
       val n = 5 + rng.nextInt(40)
       val (y, ws, los, his) = randInstance(rng, n, 2)
       val ex = ExactProjection(y, ws, los, his)
-      assert(feasible(ex, ws, los, his, 1e-5), "exact2D result infeasible")
+      assert(feasible(ex, ws, los, his, 1e-5), "exact projection at d=2: result infeasible")
       val dy = dykstra(y, ws, los, his, maxIter = 8000, tol = 1e-13)
       val dEx = dist(ex, y)
       val dDy = dist(dy, y)
