@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.SplitMix.mix
+import repro.SplitMix.{gaussian, mix, uniform}
 
 /** Algorithm 1 of the paper with the practical choices of §3.2, once for
   * both executors: noise at t = 0, the one-shot alternating (or the exact)
@@ -55,14 +55,14 @@ object GDKernel {
   def fixAt(cfg: GDConfig): Double = if (cfg.vertexFixing) 0.99 else Double.PositiveInfinity
 
   /** Standard normal draw of vertex `id`: its noise at t = 0. */
-  def gauss(seed: Long, id: Long): Double = new java.util.Random(mix(seed, id)).nextGaussian()
+  def gauss(seed: Long, id: Long): Double = gaussian(mix(seed, id))
 
   /** Randomized rounding (§3.1): side 1 with probability `(x + 1)/2`, drawn
     * from `(seed, id)`; a fixed or integral vertex takes its sign.
     */
   def side(seed: Long, id: Long, x: Double, fixed: Boolean): Int =
     if (fixed || math.abs(x) >= 1.0 - 1e-12) { if (x >= 0) 1 else 0 }
-    else if (new java.util.Random(mix(seed * 31 + 7, id)).nextDouble() < (x + 1.0) / 2.0) 1
+    else if (uniform(mix(seed * 31 + 7, id)) < (x + 1.0) / 2.0) 1
     else 0
 
   // ---- Per-block operations ----

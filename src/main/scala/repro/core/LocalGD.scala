@@ -1,6 +1,7 @@
 package repro.core
 
-import java.util.stream.IntStream
+import java.util.concurrent.{ForkJoinPool, ForkJoinTask, RecursiveAction}
+import java.util.concurrent.atomic.AtomicInteger
 import repro.graphs.LocalGraph
 import scala.collection.mutable.ArrayBuffer
 
@@ -63,12 +64,14 @@ final case class GDResult(
   * and as the reference for [[DistGD]].
   *
   * Every per-vertex pass of a call runs on the same chunks of rows, in
-  * parallel on the fork-join pool of the calling thread (the JVM's common
-  * pool outside one). The chunks come from the CSR alone ([[chunks]]), and
-  * each keeps the list of its free rows ([[GDKernel.Rows]]), built once per
-  * call, which the GD passes and the mat-vec of the free rows walk. Each
-  * chunk's sums are kept apart and added on the caller in chunk order, so
-  * the result depends on the graph, never on the number of threads.
+  * parallel on one [[Team]] per call: the calling thread and helpers on the
+  * fork-join pool of the calling thread (the JVM's common pool outside
+  * one), which stay between the passes. The chunks come from the CSR alone
+  * ([[chunks]]), and each keeps the list of its free rows
+  * ([[GDKernel.Rows]]), built once per call, which the GD passes and the
+  * mat-vec of the free rows walk. Each chunk's sums are kept apart and
+  * added on the caller in chunk order, so the result depends on the graph,
+  * never on the number of threads.
   */
 object LocalGD {
 
@@ -78,7 +81,9 @@ object LocalGD {
     */
   def matvec(g: LocalGraph, z: Array[Double]): Array[Double] = {
     val out = new Array[Double](g.n)
-    eachChunk(chunks(g))((_, lo, hi) => rowSums(g, z, Array.range(lo, hi), hi - lo, out))
+    val team = new Team(chunks(g))
+    try team.eachChunk((_, lo, hi) => rowSums(g, z, Array.range(lo, hi), hi - lo, out))
+    finally team.close()
     out
   }
 
@@ -98,12 +103,89 @@ object LocalGD {
     (bounds += g.n).result()
   }
 
-  /** `f(c, lo, hi)` for every chunk `c = [lo, hi)` of `bounds`, in parallel
-    * on the fork-join pool of the calling thread (a parallel stream runs
-    * there); returns once all are done.
+  /** The threads that run the passes of one call over the chunks `bounds`:
+    * the caller, and helper tasks on the fork-join pool of the calling
+    * thread (the common pool outside one) up to the pool's parallelism,
+    * less the caller if it is one of the pool's workers, and to one fewer
+    * than the chunks. The helpers are started with the team and stay for
+    * the passes that follow, so a pass pays no fork-join wake-up.
+    *
+    * In a pass ([[eachChunk]]) every participant claims chunks from one
+    * counter until none is left. The caller claims like the others, then
+    * waits only for chunks that a helper has claimed, never for a helper
+    * that has not started, so a pool whose workers are all busy (the
+    * recursion's other halves, or a pool of one) runs the call on the
+    * caller alone and cannot stall it. Between passes a helper spins for
+    * the next one for 200 µs, longer than the caller's work between two GD
+    * passes, then leaves; a pass that finds every helper gone (after the
+    * repair's sort, or an exact projection's solve) starts them again, and
+    * all leave at [[close]]. What a chunk computes does not depend on the
+    * thread that runs it, so neither does the result.
     */
-  private def eachChunk(bounds: Array[Int])(f: (Int, Int, Int) => Unit): Unit =
-    IntStream.range(0, bounds.length - 1).parallel().forEach(c => f(c, bounds(c), bounds(c + 1)))
+  private[core] final class Team(bounds: Array[Int]) {
+    private final class Pass(val f: (Int, Int, Int) => Unit) extends AtomicInteger {
+      val done = new AtomicInteger
+      @volatile var failure: Throwable = null
+
+      /** Claims and runs chunks until none is left, the last chunk first
+        * (the inherited count is the number claimed). RMAT puts its hubs at
+        * low ids, and they are fixed first, so the late chunks keep the most
+        * free rows: a pass ends on short chunks.
+        */
+      def work(): Unit = {
+        var k = getAndIncrement()
+        while (k < chunks) {
+          val c = chunks - 1 - k
+          try f(c, bounds(c), bounds(c + 1))
+          catch { case e: Throwable => if (failure == null) failure = e }
+          done.incrementAndGet()
+          k = getAndIncrement()
+        }
+      }
+    }
+
+    private val chunks = bounds.length - 1
+    @volatile private var current: Pass = null
+    @volatile private var closed = false
+
+    private val own = ForkJoinTask.getPool
+    private val pool = if (own != null) own else ForkJoinPool.commonPool
+    private val helpers = math.min(pool.getParallelism - (if (own != null) 1 else 0), chunks - 1)
+    /** Helpers started and not yet gone. */
+    private val live = new AtomicInteger
+    start()
+
+    private def start(): Unit = for (_ <- 0 until helpers) {
+      live.incrementAndGet()
+      pool.execute(new RecursiveAction { def compute(): Unit = try help() finally live.decrementAndGet() })
+    }
+
+    private def help(): Unit = {
+      var seen: Pass = null
+      var idleSince = System.nanoTime()
+      while (!closed) {
+        val p = current
+        if (p ne seen) { seen = p; p.work(); idleSince = System.nanoTime() }
+        else if (System.nanoTime() - idleSince > 200000L) return
+        else Thread.onSpinWait()
+      }
+    }
+
+    /** `f(c, lo, hi)` for every chunk `c = [lo, hi)`; returns once all are
+      * done, and throws what a chunk threw.
+      */
+    def eachChunk(f: (Int, Int, Int) => Unit): Unit = {
+      val p = new Pass(f)
+      if (live.get == 0) start()
+      current = p
+      p.work()
+      while (p.done.get < chunks) Thread.onSpinWait()
+      if (p.failure != null) throw p.failure
+    }
+
+    /** Lets the helpers go. */
+    def close(): Unit = closed = true
+  }
 
   /** `out(u) = Σ_{v ∈ N(u)} z(v)` in CSR order for the rows `u` of
     * `rows(0 until n)`; other rows keep their `out`.
@@ -131,13 +213,14 @@ object LocalGD {
   private[core] final class Chunked(g: LocalGraph, ws: Array[Array[Double]], cfg: GDConfig,
                                     id: Int => Long = i => i) extends GDKernel.Blocks {
     val bounds: Array[Int] = chunks(g)
+    private val team = new Team(bounds)
     /** `W_j`, the total weights. */
     val W: Array[Double] = GDKernel.totals(ws)
     val x = new Array[Double](g.n)
     val fixed = new Array[Boolean](g.n)
     /** The free rows of each chunk. */
     val rows = new Array[GDKernel.Rows](bounds.length - 1)
-    eachChunk(bounds)((c, lo, hi) => rows(c) = GDKernel.rows(ws, x, fixed, lo, hi))
+    team.eachChunk((c, lo, hi) => rows(c) = GDKernel.rows(ws, x, fixed, lo, hi))
     private val d = ws.length
     private val fixAt = GDKernel.fixAt(cfg)
     private val grad = new Array[Double](g.n)
@@ -149,10 +232,10 @@ object LocalGD {
     def stepStats(noise: Double): Array[Double] = {
       if (noise != 0.0) {
         z = new Array[Double](g.n)
-        eachChunk(bounds)((_, lo, hi) => for (i <- lo until hi)
+        team.eachChunk((_, lo, hi) => for (i <- lo until hi)
           z(i) = if (fixed(i)) x(i) else x(i) + noise * GDKernel.gauss(cfg.seed, id(i)))
       } else z = x
-      eachChunk(bounds) { (c, _, _) =>
+      team.eachChunk { (c, _, _) =>
         rowSums(g, z, rows(c).free, rows(c).n, grad)
         partStats(c) = GDKernel.stats(ws, z, grad, rows(c))
       }
@@ -167,32 +250,35 @@ object LocalGD {
         GDKernel.exactCoefficients(ws, fixed, z, grad, gamma,
           Array.tabulate(d)(j => -cfg.eps * W(j) - f(j)), Array.tabulate(d)(j => cfg.eps * W(j) - f(j)))._1
       }
-      eachChunk(bounds)((c, _, _) => GDKernel.step(ws, x, fixed, rows(c), z, grad, gamma, a, fixAt))
+      team.eachChunk((c, _, _) => GDKernel.step(ws, x, fixed, rows(c), z, grad, gamma, a, fixAt))
       if (cfg.trace) traceRows += traceRow(traceRows.length)
     }
 
     def slabStats(): Array[Double] = {
-      eachChunk(bounds)((c, _, _) => partStats(c) = GDKernel.slabStats(ws, x, rows(c)))
+      team.eachChunk((c, _, _) => partStats(c) = GDKernel.slabStats(ws, x, rows(c)))
       GDKernel.sumInOrder(partStats)
     }
 
-    def shift(alpha: Array[Double]): Unit = eachChunk(bounds)((c, _, _) => GDKernel.shift(ws, x, rows(c), alpha))
+    def shift(alpha: Array[Double]): Unit = team.eachChunk((c, _, _) => GDKernel.shift(ws, x, rows(c), alpha))
 
     /** The rounded sides of `x` (§3.1), drawn per chunk. */
     def sides(): Array[Int] = {
       val side = new Array[Int](g.n)
-      eachChunk(bounds)((_, lo, hi) => for (i <- lo until hi) side(i) = GDKernel.side(cfg.seed, id(i), x(i), fixed(i)))
+      team.eachChunk((_, lo, hi) => for (i <- lo until hi) side(i) = GDKernel.side(cfg.seed, id(i), x(i), fixed(i)))
       side
     }
 
     /** Fraction of uncut edges under `side`, counted per chunk. */
     def locality(side: Array[Int]): Double = {
       val uncut = new Array[Long](bounds.length - 1)
-      eachChunk(bounds)((c, lo, hi) => uncut(c) = g.uncutEdges(side, lo, hi))
+      team.eachChunk((c, lo, hi) => uncut(c) = g.uncutEdges(side, lo, hi))
       g.locality(uncut.sum)
     }
 
     def imbalances(side: Array[Int]): Array[Double] = GDKernel.imbalances(GDKernel.sideSums(ws, side), W)
+
+    /** Lets the call's helpers go. */
+    def close(): Unit = team.close()
 
     /** Locality and the largest imbalance of the sign rounding of x. */
     private def traceRow(t: Int): GDTraceRow = {
@@ -206,13 +292,27 @@ object LocalGD {
     * `g` was induced from, if any.
     */
   def bipartition(g: LocalGraph, ws: Array[Array[Double]], cfg: GDConfig,
-                  id: Int => Long = i => i): GDResult = {
+                  id: Int => Long = i => i): GDResult =
+    solve(g, ws, cfg, id)((b, side, iterations) =>
+      GDResult(b.x, side, b.locality(side), b.imbalances(side), b.traceRows.toSeq, iterations))
+
+  /** The sides of [[bipartition]], without scoring them. */
+  private[core] def sides(g: LocalGraph, ws: Array[Array[Double]], cfg: GDConfig, id: Int => Long): Array[Int] =
+    solve(g, ws, cfg, id)((_, side, _) => side)
+
+  /** GD, rounding and repair on `g`; `result` gets the call's blocks, the
+    * repaired sides and the iteration count.
+    */
+  private def solve[T](g: LocalGraph, ws: Array[Array[Double]], cfg: GDConfig, id: Int => Long)(
+      result: (Chunked, Array[Int], Int) => T): T = {
     require(ws.length >= 1, "need at least one weight dimension")
     val b = new Chunked(g, ws, cfg, id)
-    val iterations = GDKernel.run(b, g.n, b.W, cfg)
-    val side = b.sides()
-    Rounding.repair(side, b.x, ws, cfg.eps)
-    GDResult(b.x, side, b.locality(side), b.imbalances(side), b.traceRows.toSeq, iterations)
+    try {
+      val iterations = GDKernel.run(b, g.n, b.W, cfg)
+      val side = b.sides()
+      Rounding.repair(side, b.x, ws, cfg.eps)
+      result(b, side, iterations)
+    } finally b.close()
   }
 }
 

@@ -37,7 +37,7 @@ object RecursivePartitioner {
         toOriginal.foreach(v => assign(v) = partBase)
         return
       }
-      val side = LocalGD.bipartition(sub, wsSub, cfg.copy(seed = seed), i => toOriginal(i)).side
+      val side = LocalGD.sides(sub, wsSub, cfg.copy(seed = seed), i => toOriginal(i))
       val half = partsLeft / 2
       def recurseOn(s: Int): Unit = {
         val (gs, m) = sub.inducedSubgraph(side.map(_ == s))

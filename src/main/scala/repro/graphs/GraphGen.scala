@@ -1,8 +1,8 @@
 package repro.graphs
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.SplitMix
 import repro.SplitMix.mix
-import scala.util.Random
 
 /** Deterministic synthetic graph generators.
   *
@@ -13,22 +13,25 @@ import scala.util.Random
   */
 object GraphGen {
 
-  /** One RMAT edge from a dedicated per-edge RNG: `scale` recursive
-    * quadrant choices with probabilities (a, b, c, 1-a-b-c).
+  /** RMAT edge `i` of `seed`: `scale` recursive quadrant choices with
+    * probabilities (a, b, c, 1-a-b-c), drawn as the `nextDouble()`s of
+    * `new java.util.Random(mix(seed, i))`. Returns `(u << 32) | v`.
     */
-  private def rmatEdge(rng: Random, scale: Int, a: Double, b: Double, c: Double): (Long, Long) = {
+  private def rmatEdge(seed: Long, i: Long, scale: Int, a: Double, b: Double, c: Double): Long = {
+    var s = SplitMix.state(mix(seed, i))
     var u = 0L
     var v = 0L
     var bit = 0
     while (bit < scale) {
-      val p = rng.nextDouble()
+      val p = SplitMix.double(s)
+      s = SplitMix.next(SplitMix.next(s))
       if (p < a) { /* top-left */ }
       else if (p < a + b) { v |= 1L << bit }
       else if (p < a + b + c) { u |= 1L << bit }
       else { u |= 1L << bit; v |= 1L << bit }
       bit += 1
     }
-    (u, v)
+    (u << 32) | v
   }
 
   /** Distributed RMAT: `2^scale` vertices, `edgeFactor * 2^scale` edge draws,
@@ -39,8 +42,8 @@ object GraphGen {
     val numDraws = (1L << scale) * edgeFactor
     val drawn = spark.range(numDraws).as[Long].mapPartitions { it =>
       it.map { i =>
-        val rng = new Random(mix(seed, i))
-        rmatEdge(rng, scale, 0.57, 0.19, 0.19)
+        val e = rmatEdge(seed, i, scale, 0.57, 0.19, 0.19)
+        (e >>> 32, e & 0xFFFFFFFFL)
       }
     }.toDF("src", "dst")
     GraphOps.canonicalize(drawn)
@@ -53,15 +56,9 @@ object GraphGen {
   def rmatLocal(scale: Int, edgeFactor: Int, seed: Long = 42,
                 a: Double = 0.57, b: Double = 0.19, c: Double = 0.19): LocalGraph = {
     val numDraws = (1L << scale) * edgeFactor
-    val es = Array.newBuilder[(Int, Int)]
-    var i = 0L
-    while (i < numDraws) {
-      val rng = new Random(mix(seed, i))
-      val (u, v) = rmatEdge(rng, scale, a, b, c)
-      es += ((u.toInt, v.toInt))
-      i += 1
-    }
-    LocalGraph.fromEdges(1 << scale, es.result())
+    val es = new Array[Long](numDraws.toInt)
+    java.util.Arrays.setAll(es, (i: Int) => rmatEdge(seed, i, scale, a, b, c))
+    LocalGraph.fromPacked(1 << scale, es)
   }
 
   // ---- Named substitutes for the paper's datasets (DESIGN.md §4) ----

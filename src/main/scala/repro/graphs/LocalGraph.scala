@@ -105,25 +105,48 @@ object LocalGraph {
     * (after canonicalizing to u < v).
     */
   def fromEdges(n: Int, raw: Array[(Int, Int)]): LocalGraph = {
-    val canon = raw.iterator
-      .filter { case (u, v) => u != v }
-      .map { case (u, v) => if (u < v) (u, v) else (v, u) }
-      .toArray
-      .distinct
-    val deg = new Array[Int](n)
-    canon.foreach { case (u, v) => deg(u) += 1; deg(v) += 1 }
-    val offsets = new Array[Int](n + 1)
+    val packed = new Array[Long](raw.length)
+    java.util.Arrays.setAll(packed, (i: Int) => raw(i)._1.toLong << 32 | raw(i)._2)
+    fromPacked(n, packed)
+  }
+
+  /** [[fromEdges]] on edges packed as `(u << 32) | v` (`u, v ≥ 0`), with no
+    * tuples: the edges are canonicalized to `(min << 32) | max` without
+    * self-loops, sorted and deduplicated in `packed`, then written out in
+    * `(u, v)` order, so every adjacency list comes out sorted (its entries
+    * below the row arrive first, then those above it, each increasing).
+    */
+  private[graphs] def fromPacked(n: Int, packed: Array[Long]): LocalGraph = {
+    var m = 0
     var i = 0
-    while (i < n) { offsets(i + 1) = offsets(i) + deg(i); i += 1 }
+    while (i < packed.length) {
+      val u = packed(i) >>> 32
+      val v = packed(i) & 0xFFFFFFFFL
+      if (u != v) { packed(m) = math.min(u, v) << 32 | math.max(u, v); m += 1 }
+      i += 1
+    }
+    java.util.Arrays.sort(packed, 0, m)
+    var k = 0
+    i = 0
+    while (i < m) {
+      if (k == 0 || packed(i) != packed(k - 1)) { packed(k) = packed(i); k += 1 }
+      i += 1
+    }
+    val offsets = new Array[Int](n + 1)
+    i = 0
+    while (i < k) { offsets((packed(i) >>> 32).toInt + 1) += 1; offsets(packed(i).toInt + 1) += 1; i += 1 }
+    i = 0
+    while (i < n) { offsets(i + 1) += offsets(i); i += 1 }
     val cursor = offsets.clone()
-    val adj = new Array[Int](canon.length * 2)
-    canon.foreach { case (u, v) =>
+    val adj = new Array[Int](2 * k)
+    i = 0
+    while (i < k) {
+      val u = (packed(i) >>> 32).toInt
+      val v = packed(i).toInt
       adj(cursor(u)) = v; cursor(u) += 1
       adj(cursor(v)) = u; cursor(v) += 1
+      i += 1
     }
-    // sort each adjacency list for deterministic iteration order
-    i = 0
-    while (i < n) { java.util.Arrays.sort(adj, offsets(i), offsets(i + 1)); i += 1 }
     new LocalGraph(n, offsets, adj)
   }
 

@@ -238,7 +238,7 @@ class DistGDSpec extends SparkSpec {
   test("reported imbalance matches a recomputation from the assignment") {
     val g = GraphGen.rmatLocal(8, 5, seed = 44)
     val edges = TestGraphs.toDF(spark, g).persist()
-    val res = DistGD.bipartition(spark, edges, Seq(Weights.Unit), cfg)
+    val res = withBlocks(4)(DistGD.bipartition(spark, edges, Seq(Weights.Unit), cfg))
     val w = SqlMetrics.weightsDF(spark, edges, Seq(Weights.Unit))
     val imb = SqlMetrics.imbalance(res.assign, w.select(col("id"), col("w0") as "w"), "w", 2)
     assert(math.abs(imb - res.imbalances(0)) < 1e-6)

@@ -190,15 +190,75 @@ class LocalGDSpec extends AnyFunSuite {
     }
   }
 
-  test("bipartition is bit-identical on 1 and 4 threads (RMAT scale 14, several chunks)") {
+  test("bipartition is bit-identical on 1, 2 and 4 threads (RMAT scale 14, several chunks)") {
     assert(LocalGD.chunks(rmat14).length > 2)
     val ws = wsFor(rmat14, Seq(Weights.Unit, Weights.Degree))
     val cfg = GDConfig(eps = 0.03, seed = 87)
     val one = InPool(1)(LocalGD.bipartition(rmat14, ws, cfg))
-    val four = InPool(4)(LocalGD.bipartition(rmat14, ws, cfg))
-    assert(one.x.sameElements(four.x))
-    assert(one.side.sameElements(four.side))
-    assert(one.iterations == four.iterations)
+    for (threads <- Seq(2, 4)) {
+      val r = InPool(threads)(LocalGD.bipartition(rmat14, ws, cfg))
+      assert(one.x.sameElements(r.x), s"$threads threads")
+      assert(one.side.sameElements(r.side), s"$threads threads")
+      assert(one.iterations == r.iterations, s"$threads threads")
+    }
+  }
+
+  test("four plain threads calling bipartition at once each get the single call's bits") {
+    val ws = wsFor(rmat14, Seq(Weights.Unit, Weights.Degree))
+    val cfg = GDConfig(eps = 0.03, seed = 90)
+    val single = LocalGD.bipartition(rmat14, ws, cfg)
+    val results = new Array[GDResult](4)
+    val threads = results.indices.map(i => new Thread(() => results(i) = LocalGD.bipartition(rmat14, ws, cfg)))
+    threads.foreach(_.start())
+    threads.foreach(_.join())
+    results.zipWithIndex.foreach { case (r, i) =>
+      assert(r.x.sameElements(single.x) && r.side.sameElements(single.side), s"thread $i")
+      assert(r.iterations == single.iterations && r.locality == single.locality, s"thread $i")
+    }
+  }
+
+  private lazy val bounds14 = LocalGD.chunks(rmat14)
+
+  test("the helpers of a pass take chunks too") {
+    val ran = java.util.concurrent.ConcurrentHashMap.newKeySet[Thread]()
+    InPool(4) {
+      val team = new LocalGD.Team(bounds14)
+      try team.eachChunk { (_, _, _) =>
+        ran.add(Thread.currentThread)
+        // A chunk waits (at most 5 s) until a second thread has taken one.
+        val deadline = System.nanoTime() + 5000000000L
+        while (ran.size < 2 && System.nanoTime() < deadline) Thread.onSpinWait()
+      } finally team.close()
+    }
+    assert(ran.size >= 2)
+  }
+
+  test("a chunk that throws makes the pass throw; the next pass runs every chunk") {
+    val ran = new java.util.concurrent.atomic.AtomicInteger
+    InPool(4) {
+      val team = new LocalGD.Team(bounds14)
+      try {
+        val e = intercept[IllegalStateException](team.eachChunk((c, _, _) => if (c == 3) throw new IllegalStateException("chunk 3")))
+        assert(e.getMessage == "chunk 3")
+        team.eachChunk((_, _, _) => ran.incrementAndGet())
+      } finally team.close()
+    }
+    assert(ran.get == bounds14.length - 1)
+    // A call whose chunks throw throws.
+    intercept[ArrayIndexOutOfBoundsException](LocalGD.matvec(rmat14, new Array[Double](10)))
+  }
+
+  test("no helper is still running 1 s after a call returns") {
+    val ws = wsFor(rmat14, Seq(Weights.Unit, Weights.Degree))
+    val pool = new java.util.concurrent.ForkJoinPool(4)
+    try {
+      pool.submit(new java.util.concurrent.Callable[GDResult] {
+        def call(): GDResult = LocalGD.bipartition(rmat14, ws, GDConfig(seed = 91))
+      }).get()
+      val deadline = System.nanoTime() + 1000000000L
+      while (!pool.isQuiescent && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(pool.isQuiescent, s"${pool.getActiveThreadCount} threads still active")
+    } finally pool.shutdown()
   }
 
   test("the fused pass's stats are GDKernel.stats summed chunk by chunk in chunk order") {

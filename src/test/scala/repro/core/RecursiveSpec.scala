@@ -105,11 +105,13 @@ class RecursiveSpec extends AnyFunSuite {
     cfgs.indices.foreach(i => assert(results(i).sameElements(sequential(i)), s"call $i"))
   }
 
-  test("k=16 is bit-identical on 1 and 4 threads (RMAT scale 14, several chunks)") {
+  test("k=16 is bit-identical on 1, 2 and 4 threads (RMAT scale 14, several chunks)") {
     val g = GraphGen.rmatLocal(14, 8, seed = 29)
     val ws = Weights.localAll(g, Seq(Weights.Unit, Weights.Degree))
     val cfg = GDConfig(eps = 0.03, seed = 30)
     def run(threads: Int): Array[Int] = InPool(threads)(RecursivePartitioner.partition(g, ws, 16, cfg))
-    assert(run(1).sameElements(run(4)))
+    val one = run(1)
+    assert(one.sameElements(run(2)), "2 threads")
+    assert(one.sameElements(run(4)), "4 threads")
   }
 }

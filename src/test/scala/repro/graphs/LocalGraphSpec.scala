@@ -40,6 +40,34 @@ class LocalGraphSpec extends AnyFunSuite {
     }
   }
 
+  private def assertSameCsr(g: LocalGraph, ref: LocalGraph): Unit = {
+    assert(g.n == ref.n)
+    assert(g.offsets.sameElements(ref.offsets))
+    assert(g.adj.sameElements(ref.adj))
+  }
+
+  for ((name, scale, edgeFactor, seed, (a, b, c)) <- Seq(
+      ("RMAT scale 10", 10, 8, 15L, (0.57, 0.19, 0.19)),
+      ("LJ-lite", 14, 12, 101L, (0.57, 0.19, 0.19)),
+      ("Twitter-lite skew, scale 12", 12, 35, 103L, (0.65, 0.16, 0.16)))) {
+    test(s"rmatLocal builds the reference generator's CSR arrays ($name)") {
+      assertSameCsr(GraphGen.rmatLocal(scale, edgeFactor, seed, a, b, c),
+        ReferenceGraphs.rmatLocal(scale, edgeFactor, seed, a, b, c))
+    }
+  }
+
+  test("fromEdges builds the reference CSR arrays on the TestGraphs fixtures, shuffled, reversed and repeated") {
+    val rng = new Random(16)
+    for (g <- Seq(TestGraphs.plantedBisection(40, 0.2, 0.05), TestGraphs.plantedKCommunities(4, 20, 0.3, 0.02),
+                  TestGraphs.twoCliquesBridge(7), TestGraphs.path(30), TestGraphs.cycle(17), TestGraphs.star(25),
+                  TestGraphs.complete(9), TestGraphs.grid(5, 6), LocalGraph.fromEdges(5, Array.empty))) {
+      val es = g.edges
+      val raw = rng.shuffle((es ++ es.map(_.swap) ++ es.take(5) ++ (0 until g.n by 3).map(v => (v, v))).toSeq).toArray
+      assertSameCsr(LocalGraph.fromEdges(g.n, raw), ReferenceGraphs.fromEdges(g.n, raw))
+      assertSameCsr(g, ReferenceGraphs.fromEdges(g.n, es))
+    }
+  }
+
   test("uncutEdges: all-same-part counts every edge; alternating path counts none") {
     val p = TestGraphs.path(10)
     assert(p.uncutEdges(Array.fill(10)(0)) == 9)
