@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.{Aggregator, HashPartitioner}
+import org.apache.spark.{Aggregator, HashPartitioner, ReleaseRDD}
 import org.apache.spark.rdd.{RDD, ShuffledRDD}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
@@ -125,7 +125,7 @@ object DistGD {
     def keep[U](rdd: RDD[U]): RDD[U] = { kept += rdd; rdd.localCheckpoint() }
     var parts = keep(blocks.map(b => (b.ids, new Array[Int](b.ids.length))))
     def releaseAllBut(live: RDD[_]*): Unit =
-      kept.filterInPlace(r => (r eq parts) || live.exists(r eq _) || { r.unpersist(blocking = false); false })
+      kept.filterInPlace(r => (r eq parts) || live.exists(r eq _) || { ReleaseRDD(r); false })
 
     var (imbalances, iterations) = (new Array[Double](d), 0)
     var seeds = Array(cfg.seed)

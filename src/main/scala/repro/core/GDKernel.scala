@@ -359,9 +359,20 @@ object GDKernel {
     s
   }
 
-  /** The sum of the vectors of the ranges, added in range order. */
-  def sumInOrder(parts: Array[Array[Double]]): Array[Double] =
-    parts.reduceLeft((a, b) => Array.tabulate(a.length)(k => a(k) + b(k)))
+  /** The sum of the vectors of the ranges, added in range order into a copy
+    * of the first; the inputs are left unchanged.
+    */
+  def sumInOrder(parts: Array[Array[Double]]): Array[Double] = {
+    val sum = parts(0).clone()
+    var p = 1
+    while (p < parts.length) {
+      val b = parts(p)
+      var k = 0
+      while (k < sum.length) { sum(k) += b(k); k += 1 }
+      p += 1
+    }
+    sum
+  }
 
   /** `Σ_i w_j(i)·(2·side_i − 1)` per dimension over the vertices that have
     * a side; `side_i = −1` leaves vertex i out.

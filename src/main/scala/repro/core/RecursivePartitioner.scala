@@ -31,22 +31,25 @@ object RecursivePartitioner {
     val assign = new Array[Int](g.n)
     if (k == 1) return assign
 
+    // Splits `sub` (`partsLeft ≥ 2`). The last level writes its parts
+    // straight from the split's sides, with no subgraph per half.
     def recurse(sub: LocalGraph, toOriginal: Array[Int], wsSub: Array[Array[Double]],
-                partsLeft: Int, partBase: Int, seed: Long): Unit = {
-      if (partsLeft == 1 || sub.n == 0) {
-        toOriginal.foreach(v => assign(v) = partBase)
-        return
-      }
+                partsLeft: Int, partBase: Int, seed: Long): Unit = if (sub.n > 0) {
       val side = LocalGD.sides(sub, wsSub, cfg.copy(seed = seed), i => toOriginal(i))
       val half = partsLeft / 2
       def recurseOn(s: Int): Unit = {
         val (gs, m) = sub.inducedSubgraph(side.map(_ == s))
         recurse(gs, gather(toOriginal, m), wsSub.map(gather(_, m)), half, partBase + s * half, childSeed(seed, s))
       }
-      val second = new RecursiveAction { def compute(): Unit = recurseOn(1) }
-      second.fork()
-      recurseOn(0)
-      second.join()
+      if (half == 1) {
+        var i = 0
+        while (i < sub.n) { assign(toOriginal(i)) = partBase + side(i); i += 1 }
+      } else {
+        val second = new RecursiveAction { def compute(): Unit = recurseOn(1) }
+        second.fork()
+        recurseOn(0)
+        second.join()
+      }
     }
 
     recurse(g, Array.range(0, g.n), ws, k, 0, cfg.seed)

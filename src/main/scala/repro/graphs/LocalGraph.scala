@@ -70,32 +70,43 @@ final class LocalGraph(val n: Int, val offsets: Array[Int], val adj: Array[Int])
     *
     * Each kept vertex's adjacency is filtered through the increasing
     * old → new id map, so it stays sorted and duplicate-free: the arrays are
-    * exactly those [[LocalGraph.fromEdges]] builds from the kept edges.
+    * exactly those [[LocalGraph.fromEdges]] builds from the kept edges. A
+    * first pass counts the kept vertices and adjacency entries, so every
+    * returned array is allocated at its final size.
     */
   def inducedSubgraph(keep: Array[Boolean]): (LocalGraph, Array[Int]) = {
     val old2new = new Array[Int](n) // read for kept vertices only
-    val new2old = new Array[Int](n)
     var m = 0
+    var entries = 0
     var v = 0
     while (v < n) {
-      if (keep(v)) { old2new(v) = m; new2old(m) = v; m += 1 }
+      if (keep(v)) {
+        old2new(v) = m; m += 1
+        var i = offsets(v)
+        val end = offsets(v + 1)
+        while (i < end) { if (keep(adj(i))) entries += 1; i += 1 }
+      }
       v += 1
     }
+    val new2old = new Array[Int](m)
     val subOffsets = new Array[Int](m + 1)
-    val subAdj = new Array[Int](adj.length)
+    val subAdj = new Array[Int](entries)
     var j = 0
-    var u = 0
-    while (u < m) {
-      var i = offsets(new2old(u))
-      val end = offsets(new2old(u) + 1)
-      while (i < end) {
-        if (keep(adj(i))) { subAdj(j) = old2new(adj(i)); j += 1 }
-        i += 1
+    v = 0
+    while (v < n) {
+      if (keep(v)) {
+        new2old(old2new(v)) = v
+        var i = offsets(v)
+        val end = offsets(v + 1)
+        while (i < end) {
+          if (keep(adj(i))) { subAdj(j) = old2new(adj(i)); j += 1 }
+          i += 1
+        }
+        subOffsets(old2new(v) + 1) = j
       }
-      u += 1
-      subOffsets(u) = j
+      v += 1
     }
-    (new LocalGraph(m, subOffsets, java.util.Arrays.copyOf(subAdj, j)), java.util.Arrays.copyOf(new2old, m))
+    (new LocalGraph(m, subOffsets, subAdj), new2old)
   }
 }
 

@@ -1,6 +1,11 @@
 package repro.core
 
+import java.util.concurrent.ConcurrentLinkedQueue
 import java.util.concurrent.atomic.AtomicInteger
+import org.apache.logging.log4j.LogManager
+import org.apache.logging.log4j.core.{LogEvent, Logger}
+import org.apache.logging.log4j.core.appender.AbstractAppender
+import org.apache.logging.log4j.core.config.Property
 import org.apache.spark.ListenerBusDrain
 import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
@@ -8,6 +13,7 @@ import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.graphs.{GraphGen, GraphOps, LocalGraph, SqlMetrics, TestGraphs}
+import scala.jdk.CollectionConverters._
 
 /** Distributed GD: balance, quality, agreement with the in-core reference,
   * the reported locality against the DataFrame oracle, and what a call
@@ -223,6 +229,34 @@ class DistGDSpec extends SparkSpec {
       val cached = added.head.collect().flatMap { case (ids: Array[Long], parts: Array[Int]) => ids.zip(parts) }
       val rows = assign.collect().map(r => (r.getLong(0), r.getInt(1)))
       assert(cached.sorted.toSeq == rows.sorted.toSeq, name)
+    }
+    edges.unpersist()
+  }
+
+  test("releasing a call's RDDs logs no warning") {
+    val edges = TestGraphs.toDF(spark, GraphGen.rmatLocal(8, 4, seed = 42)).persist()
+    edges.count()
+    val messages = new ConcurrentLinkedQueue[String]
+    val appender = new AbstractAppender("released-rdds", null, null, true, Property.EMPTY_ARRAY) {
+      override def append(e: LogEvent): Unit = messages.add(e.getMessage.getFormattedMessage)
+    }
+    appender.start()
+    val root = LogManager.getRootLogger.asInstanceOf[Logger]
+    root.addAppender(appender)
+    def warnings() = messages.asScala.count(_.contains("was locally checkpointed"))
+    try {
+      for ((name, call) <- calls) {
+        call(edges)
+        assert(warnings() == 0, name)
+      }
+      // The appender does see the warning that `RDD.unpersist` logs.
+      val rdd = spark.sparkContext.parallelize(1 to 4).localCheckpoint()
+      rdd.count()
+      rdd.unpersist()
+      assert(warnings() == 1)
+    } finally {
+      root.removeAppender(appender)
+      appender.stop()
     }
     edges.unpersist()
   }

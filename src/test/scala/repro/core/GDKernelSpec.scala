@@ -210,4 +210,26 @@ class GDKernelSpec extends AnyFunSuite {
         }
       }
     }
+
+  test("sumInOrder adds in place in range order: reduceLeft's bits, inputs unchanged") {
+    val rng = new scala.util.Random(17)
+    // Magnitudes over many orders and both zeros; column 0 is all −0.0, so
+    // its sum keeps the sign only if no +0.0 is added.
+    def entry(k: Int) =
+      if (k == 0) -0.0
+      else rng.nextInt(5) match {
+        case 0 => 0.0
+        case 1 => -0.0
+        case _ => (if (rng.nextBoolean()) 1 else -1) * math.pow(10, rng.between(-300, 300)) * rng.nextDouble()
+      }
+    for (ranges <- 1 to 8) {
+      val parts = Array.fill(ranges)(Array.tabulate(12)(entry))
+      val inputs = parts.map(bits)
+      val expected = parts.reduceLeft((a, b) => Array.tabulate(a.length)(k => a(k) + b(k)))
+      val sum = GDKernel.sumInOrder(parts)
+      assert(bits(sum) == bits(expected), s"$ranges ranges")
+      assert(parts.map(bits).toSeq == inputs.toSeq, s"$ranges ranges: an input changed")
+      assert(!(sum eq parts(0)))
+    }
+  }
 }

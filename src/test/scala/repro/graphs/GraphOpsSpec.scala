@@ -1,6 +1,5 @@
 package repro.graphs
 
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 
 /** DataFrame metric jobs, Oracle-checked against DuckDB over the same

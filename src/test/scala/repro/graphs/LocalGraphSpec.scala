@@ -171,4 +171,19 @@ class LocalGraphSpec extends AnyFunSuite {
     checkInduced(path, Array.tabulate(15)(_ % 3 != 1)) // isolated and paired vertices
     checkInduced(GraphGen.rmatLocal(8, 2, seed = 14), Array.tabulate(256)(_ % 2 == 0))
   }
+
+  test("inducedSubgraph allocates its output arrays, one n-int map and at most 64 KB more") {
+    val g = GraphGen.rmatLocal(12, 16, seed = 16)
+    val rng = new Random(16)
+    val keep = Array.fill(g.n)(rng.nextBoolean())
+    val threads = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    g.inducedSubgraph(keep) // warm-up
+    val before = threads.getCurrentThreadAllocatedBytes
+    val (sub, toOld) = g.inducedSubgraph(keep)
+    val allocated = threads.getCurrentThreadAllocatedBytes - before
+    val outputs = 4L * (sub.offsets.length + sub.adj.length + toOld.length)
+    assert(allocated <= outputs + 4L * g.n + 64 * 1024,
+      s"$allocated bytes for ${sub.adj.length} of ${g.adj.length} adjacency entries")
+  }
 }
