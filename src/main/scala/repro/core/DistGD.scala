@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.{Aggregator, HashPartitioner, ReleaseRDD}
+import org.apache.spark.{Aggregator, DirectRDD, Partitioner}
 import org.apache.spark.rdd.{RDD, ShuffledRDD}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
@@ -11,7 +11,9 @@ import scala.reflect.ClassTag
   * vertex-cut routing layout of GraphX (Gonzalez et al., OSDI'14).
   *
   * Each call hash-partitions the symmetrized edge list by source into
-  * `spark.sql.shuffle.partitions` blocks, once. A block holds its sorted
+  * m = `spark.sql.shuffle.partitions` logical blocks, once, and runs them on
+  * `min(m, defaultParallelism)` Spark partitions of contiguous blocks
+  * ([[Groups]]); m alone fixes the order of every sum. A block holds its sorted
   * vertex ids, their d weight rows and a CSR adjacency over global neighbour
   * ids (see [[Block]]). Per-vertex state (`x`, `fixed`, and the list of
   * free vertices with the kernel's bookkeeping, [[GDKernel.Rows]]) stays
@@ -21,18 +23,14 @@ import scala.reflect.ClassTag
   * delivers the batches, whose sums make `grad = A·z` — the `O(|E|/m)`
   * mat-vec of Theorem 1.1 — and one reduction returns the kernel's step
   * statistics. The step itself is a lazy narrow map that the next job
-  * runs. After rounding and repair, one
+  * runs; no RDD or job of the loop passes Spark's closure cleaner
+  * ([[org.apache.spark.DirectRDD]]). After rounding and repair, one
   * more such pass with `z = s = 2·part − 1` caches the final parts and sums
   * `sᵀAs = 2·(uncut − cut)`, from which the reported locality is exact.
   * A k-way call runs log₂k levels of such splits on the same blocks, one
   * per piece of a level ([[recurse]]); [[bipartition]] is its one-level case.
   *
-  * Why RDDs: a DataFrame loop ran about ten jobs per iteration. Even with
-  * the state co-partitioned with the edges and one checkpoint fewer, it ran
-  * 141 jobs and 0.40 s per iteration for 20 iterations on FB-lite-13
-  * (4 cores), because adaptive query execution coalesces the shuffle behind
-  * each checkpoint to one partition: the checkpointed state loses its hash
-  * partitioning and is shuffled twice more per iteration.
+  * Why RDDs and not a DataFrame loop: DESIGN.md §3.
   *
   * Why the shuffled values are small case classes: Spark serializes a
   * shuffle with Kryo when its key and value are both primitive types or
@@ -56,13 +54,13 @@ object DistGD {
   final case class Result(assign: DataFrame, locality: Double,
                           imbalances: Array[Double], iterations: Int)
 
-  /** The vertices hashed to one block, sorted by id, with weight rows
-    * `w(j)(i)`. Vertex `i`'s edges are `offsets(i) until offsets(i + 1)`;
+  /** The vertices hashed to logical block `q`, sorted by id, with weight
+    * rows `w(j)(i)`. Vertex `i`'s edges are `offsets(i) until offsets(i + 1)`;
     * edge `e` adds into message slot `slot(e)`. Slots hold the distinct
-    * neighbour ids `slotIds`, grouped by destination block (block q owns
-    * `slotStart(q) until slotStart(q + 1)`) and sorted within a group.
+    * neighbour ids `slotIds`, grouped by destination block (block q' owns
+    * `slotStart(q') until slotStart(q' + 1)`) and sorted within a group.
     */
-  private final case class Block(ids: Array[Long], w: Array[Array[Double]],
+  private[core] final case class Block(q: Int, ids: Array[Long], w: Array[Array[Double]],
                                  offsets: Array[Int], slot: Array[Int],
                                  slotIds: Array[Long], slotStart: Array[Int])
 
@@ -71,6 +69,17 @@ object DistGD {
 
   /** Sums of `z` over the neighbours of `ids`, from block `from`. */
   private final case class Messages(from: Int, ids: Array[Long], sums: Array[Double])
+
+  /** `m` blocks on `tasks` Spark partitions: partition p runs the blocks q
+    * with ⌊q·tasks/m⌋ = p. Vertex `id` is in block `id.hashCode mod m`.
+    */
+  private[core] final class Groups(val m: Int, tasks: Int) extends Partitioner {
+    def blockOf(id: Long): Int = Math.floorMod(java.lang.Long.hashCode(id), m)
+    def numPartitions: Int = tasks
+    def getPartition(q: Any): Int = (q.asInstanceOf[Int].toLong * tasks / m).toInt
+    /** The blocks of partition `p`, in order. */
+    def blocks(p: Int): Seq[Int] = (0 until m).filter(getPartition(_) == p)
+  }
 
   /** Per-vertex state of one block, aligned with its ids: `x`, `fixed` and
     * the block's free [[GDKernel.Rows]], which keep its GD bookkeeping. A new
@@ -108,24 +117,25 @@ object DistGD {
     * to the gradient, while `n`, `W`, rounding, side sums and repair are the
     * piece's own. Piece p's vertices then take part 2·p + side. The result's
     * imbalances and iterations are the last split's; its locality is NaN
-    * unless `levels` is 1.
+    * unless `levels` is 1. `tasks` (tests only) overrides the partition count.
     */
-  private def recurse(spark: SparkSession, edges: DataFrame, specs: Seq[String], levels: Int,
-                      cfg: GDConfig): Result = {
+  private[core] def recurse(spark: SparkSession, edges: DataFrame, specs: Seq[String], levels: Int,
+                            cfg: GDConfig, tasks: Option[Int] = None): Result = {
     require(cfg.projection == ProjectionMethod.OneShot,
       "DistGD implements the paper's distributed default (one-shot alternating)")
     val d = specs.length
-    val part = new HashPartitioner(spark.conf.get("spark.sql.shuffle.partitions").toInt)
-    val blocks = buildBlocks(edges, specs.map(Weights.ofDegree), part).persist()
+    val m = spark.conf.get("spark.sql.shuffle.partitions").toInt
+    val groups = new Groups(m, tasks.getOrElse(math.min(m, spark.sparkContext.defaultParallelism)))
+    val blocks = buildBlocks(edges, specs.map(Weights.ofDegree), groups).persist()
 
     // RDDs cached where the next job computes them, with their lineage cut
     // there; each is released once a job has computed its successor. The
     // current parts stay until the next parts are computed.
     val kept = ArrayBuffer.empty[RDD[_]]
     def keep[U](rdd: RDD[U]): RDD[U] = { kept += rdd; rdd.localCheckpoint() }
-    var parts = keep(blocks.map(b => (b.ids, new Array[Int](b.ids.length))))
+    var parts = keep(each(blocks)(b => (b.ids, new Array[Int](b.ids.length))))
     def releaseAllBut(live: RDD[_]*): Unit =
-      kept.filterInPlace(r => (r eq parts) || live.exists(r eq _) || { ReleaseRDD(r); false })
+      kept.filterInPlace(r => (r eq parts) || live.exists(r eq _) || { DirectRDD.release(r); false })
 
     var (imbalances, iterations) = (new Array[Double](d), 0)
     var seeds = Array(cfg.seed)
@@ -155,14 +165,7 @@ object DistGD {
           // Closures below capture only local values: this object is not serializable.
           def stepStats(noise: Double): Array[Double] = {
             val point = points(noise)
-            val messages = gather(blocks.zipPartitions(state)((bs, ss) => {
-              val b = bs.next()
-              sendSums(b, point(b, ss.next()))
-            }), part)
-            current = keep(blocks.zipPartitions(state, messages)((bs, ss, ms) => {
-              val b = bs.next(); val s = ss.next()
-              Iterator(Step(s, point(b, s), gradient(b, ms)))
-            }))
+            current = keep(matvec(blocks, state, groups)(point)((b, s, grad) => Step(s, point(b, s), grad)))
             val v = sumUp(perBlock(blocks, current)((b, p) => GDKernel.stats(b.w, p.z, p.grad, p.s.rows)))
             // The state stays too: the rounding reads it if no step follows.
             releaseAllBut(current, state)
@@ -194,11 +197,10 @@ object DistGD {
 
         // The piece's vertices take part 2·piece + side: from here on they
         // are the vertices whose part v has v / 2 == piece, on side v % 2.
-        parts = keep(state.zipPartitions(parts)((ss, ps) => {
-          val s = ss.next(); val (ids, pt) = ps.next()
-          Iterator((ids, Array.tabulate(ids.length)(i =>
-            if (pt(i) != piece) pt(i) else 2 * piece + GDKernel.side(seed, ids(i), s.x(i), s.fixed(i)))))
-        }))
+        parts = keep(perBlock(state, parts) { case (s, (ids, pt)) =>
+          (ids, Array.tabulate(ids.length)(i =>
+            if (pt(i) != piece) pt(i) else 2 * piece + GDKernel.side(seed, ids(i), s.x(i), s.fixed(i))))
+        })
         val sideOf = (p: (Array[Long], Array[Int])) => p._2.map(v => if (v / 2 == piece) v % 2 else -1)
         val sums = sumUp(perBlock(blocks, parts)((b, p) => GDKernel.sideSums(b.w, sideOf(p))))
         // Each repair sweep pulls the 50k least confident vertices of the
@@ -206,8 +208,8 @@ object DistGD {
         val flips = scala.collection.mutable.Set.empty[Long]
         def candidates(heavy: Int): Iterator[(Long, Array[Double])] = {
           val flipped = flips.toSet
-          blocks.zipPartitions(state, parts)((bs, ss, ps) => {
-            val b = bs.next(); val st = ss.next(); val side = sideOf(ps.next())
+          DirectRDD.zip(blocks, state, parts)((bs, ss, ps) => bs.zip(ss).zip(ps).flatMap { case ((b, st), p) =>
+            val side = sideOf(p)
             b.ids.indices.iterator.filter(i => side(i) >= 0 && (side(i) == heavy) != flipped(b.ids(i)))
               .map(i => (math.abs(st.x(i)), b.ids(i), b.w.map(_(i))))
           }).takeOrdered(50000)(Ordering.by[(Double, Long, Array[Double]), (Double, Long)](c => (c._1, c._2))(
@@ -217,7 +219,7 @@ object DistGD {
         GDKernel.repair(sums, W, cfg.eps, candidates, id => if (!flips.remove(id)) flips += id)
         imbalances = GDKernel.imbalances(sums, W)
         val flipped = flips.toSet
-        parts = keep(parts.map { case (ids, pt) => (ids, Array.tabulate(ids.length)(i => pt(i) ^ (if (flipped(ids(i))) 1 else 0))) })
+        parts = keep(each(parts) { case (ids, pt) => (ids, Array.tabulate(ids.length)(i => pt(i) ^ (if (flipped(ids(i))) 1 else 0))) })
       }
       seeds = Array.tabulate(2 * pieces)(q => RecursivePartitioner.childSeed(seeds(q / 2), q % 2))
     }
@@ -226,62 +228,72 @@ object DistGD {
     // sᵀAs = 2·(uncut − cut) and the D directed adjacency entries.
     val locality = if (levels != 1) { parts.count(); Double.NaN } else {
       val spins = (p: (Array[Long], Array[Int])) => p._2.map(2.0 * _ - 1)
-      val messages = gather(blocks.zipPartitions(parts)((bs, ps) => sendSums(bs.next(), spins(ps.next()))), part)
-      val Array(sAs, entries) = sumUp(blocks.zipPartitions(parts, messages)((bs, ps, ms) => {
-        val b = bs.next(); val s = spins(ps.next()); val grad = gradient(b, ms)
+      val Array(sAs, entries) = sumUp(matvec(blocks, parts, groups)((_, p) => spins(p)) { (b, p, grad) =>
+        val s = spins(p)
         var sum = 0.0
         var i = 0
         while (i < s.length) { sum += s(i) * grad(i); i += 1 }
-        Iterator(Array(sum, b.offsets.last.toDouble))
-      }))
+        Array(sum, b.offsets.last.toDouble)
+      })
       if (entries == 0) 1.0 else (sAs + entries) / (2 * entries)
     }
     releaseAllBut(parts)
     blocks.unpersist()
     import spark.implicits._
-    Result(parts.flatMap(p => p._1.iterator.zip(p._2.iterator)).toDF("id", "part"), locality, imbalances, iterations)
+    val assign = DirectRDD.map(parts)((_, ps) => ps.flatMap(p => p._1.iterator.zip(p._2.iterator))).toDF("id", "part")
+    Result(assign, locality, imbalances, iterations)
   }
 
-  private def sumUp(parts: RDD[Array[Double]]): Array[Double] = GDKernel.sumInOrder(parts.collect())
+  private[core] def sumUp(parts: RDD[Array[Double]]): Array[Double] = GDKernel.sumInOrder(DirectRDD.collect(parts))
+
+  /** `f` on each element of `rdd`, one per block. */
+  private def each[T: ClassTag, U: ClassTag](rdd: RDD[T])(f: T => U): RDD[U] = DirectRDD.map(rdd)((_, ts) => ts.map(f))
 
   /** `f` on each block and the element of `rdd` aligned with it. */
-  private def perBlock[T: ClassTag, U: ClassTag](blocks: RDD[Block], rdd: RDD[T])(f: (Block, T) => U): RDD[U] =
-    blocks.zipPartitions(rdd)((bs, ts) => Iterator(f(bs.next(), ts.next())))
+  private def perBlock[A: ClassTag, T: ClassTag, U: ClassTag](blocks: RDD[A], rdd: RDD[T])(f: (A, T) => U): RDD[U] =
+    DirectRDD.zip(blocks, rdd)((bs, ts) => bs.zip(ts).map(f.tupled))
+
+  /** `f(b, t, A·z)` on each block `b` and its element `t` of `rdd`: one message pass. */
+  private[core] def matvec[T: ClassTag, U: ClassTag](blocks: RDD[Block], rdd: RDD[T], groups: Groups)(
+      z: (Block, T) => Array[Double])(f: (Block, T, Array[Double]) => U): RDD[U] = {
+    val messages = gather(DirectRDD.zip(blocks, rdd)((bs, ts) => bs.zip(ts).flatMap { case (b, t) => sendSums(b, z(b, t)) }), groups)
+    DirectRDD.zip(blocks, rdd, messages)((bs, ts, ms) =>
+      bs.zip(ts).zip(ms).map { case ((b, t), (_, batches)) => f(b, t, gradient(b, batches)) })
+  }
 
   /** The blocks of the symmetrized edge list, hash-partitioned by source.
     * The edges are read as the plan's internal rows: `Dataset.rdd` would
     * start a SQL execution of its own.
     */
-  private def buildBlocks(edges: DataFrame, weightOf: Seq[Int => Double],
-                          part: HashPartitioner): RDD[Block] = {
-    val m = part.numPartitions
-    val batches = edges.select(col("src").cast("long"), col("dst").cast("long")).queryExecution.toRdd
-      .mapPartitions { rows =>
-        val src = Array.fill(m)(Array.newBuilder[Long])
-        val dst = Array.fill(m)(Array.newBuilder[Long])
-        rows.foreach { r =>
-          val u = r.getLong(0); val v = r.getLong(1)
-          val p = part.getPartition(u); src(p) += u; dst(p) += v
-          val q = part.getPartition(v); src(q) += v; dst(q) += u
-        }
-        Iterator.tabulate(m)(q => q -> Edges(src(q).result(), dst(q).result())).filter(_._2.src.nonEmpty)
+  private[core] def buildBlocks(edges: DataFrame, weightOf: Seq[Int => Double], groups: Groups): RDD[Block] = {
+    val m = groups.m
+    val read = edges.select(col("src").cast("long"), col("dst").cast("long")).queryExecution.toRdd
+    val batches = DirectRDD.map(read) { (_, rows) =>
+      val src = Array.fill(m)(Array.newBuilder[Long])
+      val dst = Array.fill(m)(Array.newBuilder[Long])
+      rows.foreach { r =>
+        val u = r.getLong(0); val v = r.getLong(1)
+        val p = groups.blockOf(u); src(p) += u; dst(p) += v
+        val q = groups.blockOf(v); src(q) += v; dst(q) += u
       }
-    gather(batches, part).mapPartitions(it => Iterator(block(it.toSeq, weightOf, part)))
+      Iterator.tabulate(m)(q => q -> Edges(src(q).result(), dst(q).result())).filter(_._2.src.nonEmpty)
+    }
+    each(gather(batches, groups)) { case (q, es) => block(q, es, weightOf, groups) }
   }
 
-  /** The values sent to each block, in partition `key`. The map-side
-    * combine makes Spark write one shuffle file per map task; a plain
-    * `partitionBy` writes one per (map task, block) pair, which took
-    * 1.1 s instead of 0.33 s for 64 × 64 one-value messages (4 cores).
-    * The aggregator is `combineByKey`'s, minus its three closure-cleaner
-    * passes: they took 2.7 of the 3.8 ms the driver spent here per GD
-    * iteration (FB-lite-13, 8 blocks, 4 cores).
+  /** The values sent to each block: one `(q, values)` pair per block of a partition, in
+    * block order, empty blocks included. The map-side combine makes Spark write one shuffle
+    * file per map task; a plain `partitionBy` writes one per (map task, partition) pair, which
+    * took 1.1 s instead of 0.33 s for 64 × 64 one-value messages (4 cores).
     */
-  private def gather[V: ClassTag](sent: RDD[(Int, V)], part: HashPartitioner): RDD[V] =
-    new ShuffledRDD[Int, V, List[V]](sent, part).setMapSideCombine(true)
-      .setAggregator(Aggregator[Int, V, List[V]](List(_), (l, v) => v :: l, _ ::: _)).flatMap(_._2)
+  private def gather[V: ClassTag](sent: RDD[(Int, V)], groups: Groups): RDD[(Int, List[V])] =
+    DirectRDD.map(new ShuffledRDD[Int, V, List[V]](sent, groups).setMapSideCombine(true)
+      .setAggregator(Aggregator[Int, V, List[V]](List(_), (l, v) => v :: l, _ ::: _))) { (p, got) =>
+      val byBlock = got.toMap
+      groups.blocks(p).iterator.map(q => q -> byBlock.getOrElse(q, Nil))
+    }
 
-  private def block(batches: Seq[Edges], weightOf: Seq[Int => Double], part: HashPartitioner): Block = {
+  private def block(q: Int, batches: Seq[Edges], weightOf: Seq[Int => Double], groups: Groups): Block = {
     val src = Array.concat(batches.map(_.src): _*)
     val dst = Array.concat(batches.map(_.dst): _*)
     val ids = distinctSorted(src)
@@ -292,13 +304,13 @@ object DistGD {
 
     // Slots: the distinct neighbours, stably regrouped by destination block.
     val nbrs = distinctSorted(dst)
-    val slotStart = new Array[Int](part.numPartitions + 1)
-    nbrs.foreach(v => slotStart(part.getPartition(v) + 1) += 1)
-    for (q <- 0 until part.numPartitions) slotStart(q + 1) += slotStart(q)
+    val slotStart = new Array[Int](groups.m + 1)
+    nbrs.foreach(v => slotStart(groups.blockOf(v) + 1) += 1)
+    for (q <- 0 until groups.m) slotStart(q + 1) += slotStart(q)
     val next = slotStart.clone()
     val slotIds = new Array[Long](nbrs.length)
     val slotOf = nbrs.map { v =>
-      val q = part.getPartition(v)
+      val q = groups.blockOf(v)
       val k = next(q); next(q) += 1
       slotIds(k) = v
       k
@@ -311,7 +323,7 @@ object DistGD {
       fill(i) += 1
     }
     val w = weightOf.map(f => Array.tabulate(ids.length)(i => f(offsets(i + 1) - offsets(i)))).toArray
-    Block(ids, w, offsets, slot, slotIds, slotStart)
+    Block(q, ids, w, offsets, slot, slotIds, slotStart)
   }
 
   private def distinctSorted(a: Array[Long]): Array[Long] = {
@@ -332,21 +344,20 @@ object DistGD {
       var e = b.offsets(i)
       while (e < b.offsets(i + 1)) { acc(b.slot(e)) += zi; e += 1 }
     }
-    val from = org.apache.spark.TaskContext.getPartitionId()
     (0 until b.slotStart.length - 1).iterator
       .filter(q => b.slotStart(q) < b.slotStart(q + 1))
       .map { q =>
         val (lo, hi) = (b.slotStart(q), b.slotStart(q + 1))
-        q -> Messages(from, b.slotIds.slice(lo, hi), acc.slice(lo, hi))
+        q -> Messages(b.q, b.slotIds.slice(lo, hi), acc.slice(lo, hi))
       }
   }
 
   /** Reduce side of the mat-vec: `grad = A·z` on the block's vertices,
     * added up in source-block order so that runs repeat bit for bit.
     */
-  private def gradient(b: Block, batches: Iterator[Messages]): Array[Double] = {
+  private def gradient(b: Block, batches: List[Messages]): Array[Double] = {
     val grad = new Array[Double](b.ids.length)
-    for (m <- batches.toSeq.sortBy(_.from); k <- m.ids.indices)
+    for (m <- batches.sortBy(_.from); k <- m.ids.indices)
       grad(java.util.Arrays.binarySearch(b.ids, m.ids(k))) += m.sums(k)
     grad
   }

@@ -7,7 +7,8 @@ import org.apache.logging.log4j.core.{LogEvent, Logger}
 import org.apache.logging.log4j.core.appender.AbstractAppender
 import org.apache.logging.log4j.core.config.Property
 import org.apache.spark.ListenerBusDrain
-import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart}
+import org.apache.spark.rdd.RDD
+import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart, SparkListenerStageSubmitted}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
 import org.apache.spark.sql.functions._
@@ -258,6 +259,111 @@ class DistGDSpec extends SparkSpec {
       root.removeAppender(appender)
       appender.stop()
     }
+    edges.unpersist()
+  }
+
+  // m alone fixes the order of every sum, so the Spark partitions that the
+  // 64 blocks run on change no bit of the result.
+  test("64 blocks on 1, 4 and 64 tasks: the same parts, locality, imbalances and iterations") {
+    val edges = TestGraphs.toDF(spark, GraphGen.rmatLocal(8, 4, seed = 42)).persist()
+    for ((name, levels) <- Seq("bipartition" -> 1, "partitionK k=4" -> 2)) {
+      val runs = Seq(1, 4, 64).map { tasks =>
+        val res = withBlocks(64)(DistGD.recurse(spark, edges, Seq(Weights.Unit, Weights.Degree), levels, short, Some(tasks)))
+        val assign = res.assign.collect().map(r => (r.getLong(0), r.getInt(1))).toSet
+        (tasks, assign, res.locality, res.imbalances.toSeq, res.iterations)
+      }
+      val (_, assign, locality, imbalances, iterations) = runs.head
+      assert(assign.map(_._2).size == 2 * levels && iterations > 0, name)
+      for ((tasks, a, l, imb, it) <- runs.tail) {
+        val moved = (a diff assign).size
+        assert(moved == 0, s"$name, $tasks tasks: $moved vertices in other parts")
+        assert(levels != 1 || l == locality, s"$name, $tasks tasks: locality $l, not $locality")
+        assert(imb == imbalances, s"$name, $tasks tasks: imbalances")
+        assert(it == iterations, s"$name, $tasks tasks: iterations")
+      }
+    }
+    edges.unpersist()
+  }
+
+  // The parts above hardly depend on the last bits of a sum. These sums of
+  // Gaussian terms do: A·z adds each vertex's batches in source-block order,
+  // and the driver adds the block vectors in block order.
+  test("A·z and its block sums on 64 blocks are the same bit for bit on 1, 4 and 64 tasks") {
+    val edges = TestGraphs.toDF(spark, GraphGen.rmatLocal(8, 4, seed = 42)).persist()
+    val z = (b: DistGD.Block, _: DistGD.Block) => b.ids.map(GDKernel.gauss(5, _))
+    val runs = Seq(1, 4, 64).map { tasks =>
+      val groups = new DistGD.Groups(64, tasks)
+      val blocks = DistGD.buildBlocks(edges, Seq(Weights.ofDegree(Weights.Unit)), groups).persist()
+      val grad = DistGD.matvec(blocks, blocks, groups)(z)((b, _, g) => b.ids.zip(g)).collect().flatten.toMap
+      val sums = DistGD.sumUp(DistGD.matvec(blocks, blocks, groups)(z)((_, _, g) => Array(g.sum)))
+      blocks.unpersist()
+      (tasks, grad.view.mapValues(java.lang.Double.doubleToLongBits).toMap, sums.toSeq)
+    }
+    val (_, grad, sums) = runs.head
+    assert(grad.size == GraphOps.vertexIds(edges).count())
+    for ((tasks, g, s) <- runs.tail) {
+      val differ = grad.count { case (id, bits) => g(id) != bits }
+      assert(differ == 0, s"$tasks tasks: $differ of ${grad.size} gradient entries differ")
+      assert(s == sums, s"$tasks tasks: block sums")
+    }
+    edges.unpersist()
+  }
+
+  test("no stage of a call at 64 blocks runs more than min(64, defaultParallelism) tasks, but the edge read") {
+    val sc = spark.sparkContext
+    val tasks = math.min(64, sc.defaultParallelism)
+    // One edge partition more than the bound tells the edge read's stage apart.
+    val edges = TestGraphs.toDF(spark, GraphGen.rmatLocal(8, 4, seed = 42)).repartition(tasks + 1).persist()
+    edges.count()
+    val stages = new ConcurrentLinkedQueue[Int]
+    val listener = new SparkListener {
+      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit = stages.add(e.stageInfo.numTasks)
+    }
+    sc.addSparkListener(listener)
+    try {
+      for ((name, call) <- Seq[(String, () => Any)](
+             "bipartition" -> (() => DistGD.bipartition(spark, edges, Seq(Weights.Unit), short)),
+             "partitionK k=4" -> (() => DistGD.partitionK(spark, edges, Seq(Weights.Unit), 4, short)))) {
+        ListenerBusDrain(sc)
+        stages.clear()
+        withBlocks(64)(call())
+        ListenerBusDrain(sc)
+        val counts = stages.asScala.toSeq
+        assert(counts.filter(_ > tasks) == Seq(tasks + 1), s"$name: tasks per stage $counts")
+      }
+    } finally sc.removeSparkListener(listener)
+    edges.unpersist()
+  }
+
+  // Each job's checkpoint cuts the lineage of what it computed, so the
+  // cached parts do not carry the iterations that led to them.
+  test("the parts a call leaves cached have the same lineage at I = 5 and I = 30") {
+    val edges = TestGraphs.toDF(spark, GraphGen.rmatLocal(8, 4, seed = 42)).persist()
+    edges.count()
+    val sc = spark.sparkContext
+    // Without vertex fixing every run uses its whole iteration budget.
+    def cachedParts(iterations: Int): RDD[_] = {
+      val before = sc.getPersistentRDDs.keySet
+      val res = withBlocks(4)(DistGD.bipartition(spark, edges, Seq(Weights.Unit),
+        cfg.copy(eps = 0.5, iterations = iterations, vertexFixing = false)))
+      assert(res.iterations == iterations)
+      val added = sc.getPersistentRDDs.filter { case (id, _) => !before(id) }.values.toSeq
+      assert(added.size == 1)
+      added.head
+    }
+    // The distinct RDDs of a lineage, counted first: `toDebugString` repeats
+    // a shared ancestor on every path to it, and on an uncut lineage at
+    // I = 30 it runs out of heap.
+    def reached(rdd: RDD[_]): Int = {
+      val seen = scala.collection.mutable.Set(rdd.id)
+      var frontier = Seq[RDD[_]](rdd)
+      while (frontier.nonEmpty) frontier = frontier.flatMap(_.dependencies.map(_.rdd)).filter(r => seen.add(r.id))
+      seen.size
+    }
+    val few = cachedParts(5)
+    val many = cachedParts(30)
+    assert(reached(few) == reached(many))
+    assert(few.toDebugString.linesIterator.size == many.toDebugString.linesIterator.size)
     edges.unpersist()
   }
 
