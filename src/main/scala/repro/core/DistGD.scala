@@ -15,12 +15,12 @@ import scala.reflect.ClassTag
   * `min(m, defaultParallelism)` Spark partitions of contiguous blocks
   * ([[Groups]]); m alone fixes the order of every sum. A block holds its sorted
   * vertex ids, their d weight rows and a CSR adjacency over global neighbour
-  * ids (see [[Block]]). Per-vertex state (`x`, `fixed`, and the list of
-  * free vertices with the kernel's bookkeeping, [[GDKernel.Rows]]) stays
-  * aligned with the blocks through `zipPartitions`, so a GD iteration is
-  * one Spark job: every block sums `z` over its edges into one message
-  * batch per destination block (the map-side combine), the shuffle
-  * delivers the batches, whose sums make `grad = A·z` — the `O(|E|/m)`
+  * ids (see [[Block]]). Per-vertex state (`x`, and the block's
+  * [[GDKernel.Rows]]: its fixed set, its free list and the kernel's
+  * bookkeeping) stays aligned with the blocks through `zipPartitions`, so
+  * a GD iteration is one Spark job: every block sums `z` over its edges
+  * into one message batch per destination block (the map-side combine),
+  * the shuffle delivers the batches, whose sums make `grad = A·z` — the `O(|E|/m)`
   * mat-vec of Theorem 1.1 — and one reduction returns the kernel's step
   * statistics. The step itself is a lazy narrow map that the next job
   * runs; no RDD or job of the loop passes Spark's closure cleaner
@@ -81,11 +81,11 @@ object DistGD {
     def blocks(p: Int): Seq[Int] = (0 until m).filter(getPartition(_) == p)
   }
 
-  /** Per-vertex state of one block, aligned with its ids: `x`, `fixed` and
-    * the block's free [[GDKernel.Rows]], which keep its GD bookkeeping. A new
-    * state takes copies of what it changes: cached states are never written.
+  /** Per-vertex state of one block, aligned with its ids: `x` and the
+    * block's [[GDKernel.Rows]]. A new state takes copies of what it changes:
+    * cached states are never written.
     */
-  private final case class State(x: Array[Double], fixed: Array[Boolean], rows: GDKernel.Rows)
+  private final case class State(x: Array[Double], rows: GDKernel.Rows)
 
   /** One iteration of a block: its state, the point `z` and `grad = A·z`. */
   private final case class Step(s: State, z: Array[Double], grad: Array[Double])
@@ -153,14 +153,13 @@ object DistGD {
         val seed = seeds(piece)
         val W = totals.slice(piece * (1 + d) + 1, (piece + 1) * (1 + d))
         var state: RDD[State] = keep(perBlock(blocks, parts) { case (b, (ids, pt)) =>
-          val (x, fixed) = (new Array[Double](ids.length), pt.map(_ != piece))
-          State(x, fixed, GDKernel.rows(b.w, x, fixed, 0, x.length)) })
+          val x = new Array[Double](ids.length)
+          State(x, GDKernel.rows(b.w, x, 0, x.length)(pt(_) != piece)) })
         var current: RDD[Step] = null
         /** `z`: `x`, plus `noise` times the draws on the free vertices. */
         def points(noise: Double) = (b: Block, s: State) =>
           if (noise == 0.0) s.x
-          else Array.tabulate(b.ids.length)(i =>
-            if (s.fixed(i)) s.x(i) else s.x(i) + noise * GDKernel.gauss(seed, b.ids(i)))
+          else { val z = s.x.clone(); GDKernel.addNoise(z, s.rows, noise, seed, b.ids(_)); z }
         iterations = GDKernel.run(new GDKernel.Blocks {
           // Closures below capture only local values: this object is not serializable.
           def stepStats(noise: Double): Array[Double] = {
@@ -175,9 +174,9 @@ object DistGD {
           def step(gamma: Double, alpha: Array[Double]): Unit = {
             val fixAt = GDKernel.fixAt(cfg)
             state = keep(perBlock(blocks, current) { (b, p) =>
-              val (x, fixed, rows) = (p.s.x.clone(), p.s.fixed.clone(), p.s.rows.copy())
-              GDKernel.step(b.w, x, fixed, rows, p.z, p.grad, gamma, alpha, fixAt)
-              State(x, fixed, rows)
+              val (x, rows) = (p.s.x.clone(), p.s.rows.copy())
+              GDKernel.step(b.w, x, rows, p.z, p.grad, gamma, alpha, fixAt)
+              State(x, rows)
             })
           }
 
@@ -191,7 +190,7 @@ object DistGD {
             state = keep(perBlock(blocks, state) { (b, s) =>
               val (x, rows) = (s.x.clone(), s.rows.copy())
               GDKernel.shift(b.w, x, rows, alpha)
-              State(x, s.fixed, rows)
+              State(x, rows)
             })
         }, totals(piece * (1 + d)).toLong, W, cfg)
 
@@ -199,7 +198,7 @@ object DistGD {
         // are the vertices whose part v has v / 2 == piece, on side v % 2.
         parts = keep(perBlock(state, parts) { case (s, (ids, pt)) =>
           (ids, Array.tabulate(ids.length)(i =>
-            if (pt(i) != piece) pt(i) else 2 * piece + GDKernel.side(seed, ids(i), s.x(i), s.fixed(i))))
+            if (pt(i) != piece) pt(i) else 2 * piece + GDKernel.side(seed, ids(i), s.x(i))))
         })
         val sideOf = (p: (Array[Long], Array[Int])) => p._2.map(v => if (v / 2 == piece) v % 2 else -1)
         val sums = sumUp(perBlock(blocks, parts)((b, p) => GDKernel.sideSums(b.w, sideOf(p))))

@@ -12,13 +12,13 @@ import repro.SplitMix.{gaussian, mix, uniform}
   * blocks; both apply the per-block operations below, each to the [[Rows]]
   * of a row range of a block's arrays (a `LocalGD` chunk of rows, or a
   * whole `DistGD` block), so they take the same steps and draws, up to the
-  * order in which the ranges' sums are added. The operations visit the free
-  * rows of a range only, from its list of them; the sums that change only
-  * with the fixed set (the Gram entries and `F`) are kept with the list and
-  * summed again only for a range whose fixed set changed, and so is the
-  * range's GD bookkeeping, which the executors therefore do not hold. Every
-  * sum adds the same terms in the same row order as a loop over the whole
-  * range that skips the fixed rows.
+  * order in which the ranges' sums are added. A range's [[Rows]] is the one
+  * record of its fixed set and of its GD bookkeeping, so the executors hold
+  * only `x`. The operations visit the free rows of a range only, from its
+  * list of them; the sums that change only with the fixed set (the Gram
+  * entries and `F`) are kept with the list and summed again only for a
+  * range whose fixed set changed. Every sum adds the same terms in the same
+  * row order as a loop over the whole range that skips the fixed rows.
   *
   * The one-shot projection is solved in closed form: projecting
   * `y = z + γ·grad` onto the planes `⟨w_j, y⟩ = −F_j` one after another
@@ -57,20 +57,25 @@ object GDKernel {
   /** Standard normal draw of vertex `id`: its noise at t = 0. */
   def gauss(seed: Long, id: Long): Double = gaussian(mix(seed, id))
 
+  /** Adds `noise·`[[gauss]] of vertex `id(i)` to `z(i)` for every free row `i` of `r`. */
+  def addNoise(z: Array[Double], r: Rows, noise: Double, seed: Long, id: Int => Long): Unit =
+    for (k <- 0 until r.n) { val i = r.free(k); z(i) += noise * gauss(seed, id(i)) }
+
   /** Randomized rounding (§3.1): side 1 with probability `(x + 1)/2`, drawn
-    * from `(seed, id)`; a fixed or integral vertex takes its sign.
+    * from `(seed, id)`; an integral vertex, as a fixed one is, takes its sign.
     */
-  def side(seed: Long, id: Long, x: Double, fixed: Boolean): Int =
-    if (fixed || math.abs(x) >= 1.0 - 1e-12) { if (x >= 0) 1 else 0 }
+  def side(seed: Long, id: Long, x: Double): Int =
+    if (math.abs(x) >= 1.0 - 1e-12) { if (x >= 0) 1 else 0 }
     else if (uniform(mix(seed * 31 + 7, id)) < (x + 1.0) / 2.0) 1
     else 0
 
   // ---- Per-block operations ----
 
   /** The rows `[lo, hi)` of a block (a `LocalGD` chunk, or a whole `DistGD`
-    * block) as the operations below see them, with the range's GD
-    * bookkeeping:
-    *  - `free(0 until n)`: the free rows, increasing;
+    * block) as the operations below see them, with the range's one record
+    * of its fixed set and its GD bookkeeping:
+    *  - `fixed(i − lo)`: whether row `i` is fixed;
+    *  - `free(0 until n)`: the other rows, increasing;
     *  - `fixedSums`: the statistics that change only with the free set, the
     *    Gram upper triangle over the free rows, then `F` over the fixed ones;
     *  - `last`: the squared length of the range's part of the last [[step]],
@@ -78,31 +83,33 @@ object GDKernel {
     *    `back`;
     *  - `back`: made by the first [[shift]], the free rows' `x` in list
     *    order that the next shift compares against.
-    * [[step]] compacts `free` in place and, when it fixes a row, sums
-    * `fixedSums` again into a new array, so a [[copy]] may share it.
+    * Only [[step]] fixes rows: it marks them in `fixed`, drops them from
+    * `free` in place and sums `fixedSums` again into a new array, so a
+    * [[copy]] may share that.
     */
-  final class Rows(val lo: Int, val hi: Int, val free: Array[Int], var n: Int,
+  final class Rows(val lo: Int, val hi: Int, val fixed: Array[Boolean], val free: Array[Int], var n: Int,
                    var fixedSums: Array[Double], var last: Double = 0.0,
                    var back: Array[Double] = null) extends Serializable {
     /** A copy that [[step]] and [[shift]] change without touching this one. */
-    def copy(): Rows = new Rows(lo, hi, free.clone(), n, fixedSums, last, if (back == null) null else back.clone())
+    def copy(): Rows = new Rows(lo, hi, fixed.clone(), free.clone(), n, fixedSums, last, if (back == null) null else back.clone())
   }
 
-  /** The [[Rows]] of `[lo, hi)`: the rows not `fixed`, and `F` from `x`. */
-  def rows(w: Array[Array[Double]], x: Array[Double], fixed: Array[Boolean], lo: Int, hi: Int): Rows = {
+  /** The [[Rows]] of `[lo, hi)`, the rows `i` with `isFixed(i)` fixed; `F` from `x`. */
+  def rows(w: Array[Array[Double]], x: Array[Double], lo: Int, hi: Int)(isFixed: Int => Boolean): Rows = {
+    val fixed = new Array[Boolean](hi - lo)
     val free = new Array[Int](hi - lo)
     var n = 0
     var i = lo
-    while (i < hi) { if (!fixed(i)) { free(n) = i; n += 1 }; i += 1 }
-    val r = new Rows(lo, hi, free, n, null)
-    r.fixedSums = fixedSums(w, x, fixed, r)
+    while (i < hi) { if (isFixed(i)) fixed(i - lo) = true else { free(n) = i; n += 1 }; i += 1 }
+    val r = new Rows(lo, hi, fixed, free, n, null)
+    r.fixedSums = fixedSums(w, x, r)
     r
   }
 
   /** The Gram upper triangle over the free rows of `r`, then `F` over its
     * fixed ones.
     */
-  private def fixedSums(w: Array[Array[Double]], x: Array[Double], fixed: Array[Boolean], r: Rows): Array[Double] = {
+  private def fixedSums(w: Array[Array[Double]], x: Array[Double], r: Rows): Array[Double] = {
     val d = w.length
     val m = d * (d + 1) / 2
     val v = new Array[Double](m + d)
@@ -134,10 +141,10 @@ object GDKernel {
       v(e) = s0; v(e1) = s1; v(e2) = s2
       e += 3
     }
-    // One pass for all of F: the test of `fixed(i)` is what costs here.
+    // One pass for all of F: the test of the mask is what costs here.
     var i = r.lo
     while (i < r.hi) {
-      if (fixed(i)) { var j = 0; while (j < d) { v(m + j) += w(j)(i) * x(i); j += 1 } }
+      if (r.fixed(i - r.lo)) { var j = 0; while (j < d) { v(m + j) += w(j)(i) * x(i); j += 1 } }
       i += 1
     }
     v
@@ -188,15 +195,14 @@ object GDKernel {
     v
   }
 
-  /** Moves every free row `i` of `r` to `clip(z + γ·grad − Σ_j α_j·w_j)` and
-    * fixes it at its sign if `|x| ≥ fixAt`, in place in `x` and `fixed`,
-    * dropping it from `r`'s list; fixed rows stay. Sets `r.last` to the
-    * squared step length over the rows that were free, measured before
-    * fixing.
+  /** Moves every free row `i` of `r` to `clip(z + γ·grad − Σ_j α_j·w_j)` in
+    * place in `x`, and fixes it at its sign if `|x| ≥ fixAt`: marks it in
+    * `r.fixed` and drops it from `r`'s list; fixed rows stay. Sets `r.last`
+    * to the squared step length over the rows that were free, measured
+    * before fixing.
     */
-  def step(w: Array[Array[Double]], x: Array[Double], fixed: Array[Boolean], r: Rows,
-           z: Array[Double], grad: Array[Double], gamma: Double, alpha: Array[Double],
-           fixAt: Double): Unit = {
+  def step(w: Array[Array[Double]], x: Array[Double], r: Rows, z: Array[Double], grad: Array[Double],
+           gamma: Double, alpha: Array[Double], fixAt: Double): Unit = {
     val free = r.free
     var sq = 0.0
     var m = 0
@@ -209,17 +215,17 @@ object GDKernel {
       y = Projections.clip(y)
       val dx = y - x(i)
       sq += dx * dx
-      if (math.abs(y) >= fixAt) { fixed(i) = true; x(i) = if (y >= 0) 1.0 else -1.0 }
+      if (math.abs(y) >= fixAt) { r.fixed(i - r.lo) = true; x(i) = if (y >= 0) 1.0 else -1.0 }
       else { x(i) = y; free(m) = i; m += 1 }
       k += 1
     }
-    if (m < r.n) { r.n = m; r.fixedSums = fixedSums(w, x, fixed, r) }
+    if (m < r.n) { r.n = m; r.fixedSums = fixedSums(w, x, r) }
     r.last = sq
   }
 
   /** The `α` for [[step]] that makes it the exact projection (paper §2.2,
     * Prop. 2.1, Appendix A) of `y = z + γ·grad` onto the cube and the slabs
-    * `⟨w_j, x⟩ ∈ [los_j, his_j]` over the free vertices: `clip(y − Σ_j λ_j·w_j)`
+    * `⟨w_j, x⟩ ∈ [los_j, his_j]` over the vertices `free`: `clip(y − Σ_j λ_j·w_j)`
     * for the dual optimum `λ`, any d. Dual ascent: along `λ_j` the slope is
     * the residual `⟨w_j, x(λ)⟩ − c_j`, `c_j` = `his_j` if `λ_j > 0`, `los_j` if
     * `λ_j < 0`, else the interval's nearest end. A pass takes exact line
@@ -230,11 +236,10 @@ object GDKernel {
     * or after `maxPasses` passes (no point of the cube meets all slabs).
     * Returns `λ` and the passes taken.
     */
-  def exactCoefficients(w: Array[Array[Double]], fixed: Array[Boolean], z: Array[Double],
+  def exactCoefficients(w: Array[Array[Double]], free: Array[Int], z: Array[Double],
                         grad: Array[Double], gamma: Double, los: Array[Double], his: Array[Double],
                         maxPasses: Int = 100): (Array[Double], Int) = {
     val d = w.length
-    val free = Array.range(0, z.length).filter(i => !fixed(i))
     /** `Σ_i f(i)` over the free vertices. */
     def total(f: Int => Double): Double = {
       var (r, k) = (0.0, 0)

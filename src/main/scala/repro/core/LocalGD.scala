@@ -204,8 +204,8 @@ object LocalGD {
     }
   }
 
-  /** The [[GDKernel.Blocks]] of a call on `g`, over its [[chunks]]. `x`,
-    * `fixed` and the chunks' [[rows]], which keep each chunk's GD
+  /** The [[GDKernel.Blocks]] of a call on `g`, over its [[chunks]]. `x` and
+    * the chunks' [[rows]], which keep each chunk's fixed set and GD
     * bookkeeping, are the state; every pass writes `x` in place, and the
     * gradient is computed for free rows only, into one buffer for the whole
     * call. Vertex `i` draws its noise and rounding by `id(i)`.
@@ -217,10 +217,9 @@ object LocalGD {
     /** `W_j`, the total weights. */
     val W: Array[Double] = GDKernel.totals(ws)
     val x = new Array[Double](g.n)
-    val fixed = new Array[Boolean](g.n)
-    /** The free rows of each chunk. */
+    /** The fixed and free rows of each chunk, none fixed at first. */
     val rows = new Array[GDKernel.Rows](bounds.length - 1)
-    team.eachChunk((c, lo, hi) => rows(c) = GDKernel.rows(ws, x, fixed, lo, hi))
+    team.eachChunk((c, lo, hi) => rows(c) = GDKernel.rows(ws, x, lo, hi)(_ => false))
     private val d = ws.length
     private val fixAt = GDKernel.fixAt(cfg)
     private val grad = new Array[Double](g.n)
@@ -231,9 +230,8 @@ object LocalGD {
 
     def stepStats(noise: Double): Array[Double] = {
       if (noise != 0.0) {
-        z = new Array[Double](g.n)
-        team.eachChunk((_, lo, hi) => for (i <- lo until hi)
-          z(i) = if (fixed(i)) x(i) else x(i) + noise * GDKernel.gauss(cfg.seed, id(i)))
+        z = x.clone()
+        team.eachChunk((c, _, _) => GDKernel.addNoise(z, rows(c), noise, cfg.seed, id))
       } else z = x
       team.eachChunk { (c, _, _) =>
         rowSums(g, z, rows(c).free, rows(c).n, grad)
@@ -247,10 +245,10 @@ object LocalGD {
     def step(gamma: Double, alpha: Array[Double]): Unit = {
       val a = if (cfg.projection == ProjectionMethod.OneShot) alpha else {
         val f = GDKernel.fixedWeight(stats, d)
-        GDKernel.exactCoefficients(ws, fixed, z, grad, gamma,
+        GDKernel.exactCoefficients(ws, rows.flatMap(r => r.free.take(r.n)), z, grad, gamma,
           Array.tabulate(d)(j => -cfg.eps * W(j) - f(j)), Array.tabulate(d)(j => cfg.eps * W(j) - f(j)))._1
       }
-      team.eachChunk((c, _, _) => GDKernel.step(ws, x, fixed, rows(c), z, grad, gamma, a, fixAt))
+      team.eachChunk((c, _, _) => GDKernel.step(ws, x, rows(c), z, grad, gamma, a, fixAt))
       if (cfg.trace) traceRows += traceRow(traceRows.length)
     }
 
@@ -264,7 +262,7 @@ object LocalGD {
     /** The rounded sides of `x` (§3.1), drawn per chunk. */
     def sides(): Array[Int] = {
       val side = new Array[Int](g.n)
-      team.eachChunk((_, lo, hi) => for (i <- lo until hi) side(i) = GDKernel.side(cfg.seed, id(i), x(i), fixed(i)))
+      team.eachChunk((_, lo, hi) => for (i <- lo until hi) side(i) = GDKernel.side(cfg.seed, id(i), x(i)))
       side
     }
 
@@ -287,16 +285,14 @@ object LocalGD {
     }
   }
 
-  /** Balanced 2-partition of `g` under weight vectors `ws` (d × n). Vertex
-    * `i` draws its noise and rounding by `id(i)`: its id in the graph that
-    * `g` was induced from, if any.
-    */
-  def bipartition(g: LocalGraph, ws: Array[Array[Double]], cfg: GDConfig,
-                  id: Int => Long = i => i): GDResult =
-    solve(g, ws, cfg, id)((b, side, iterations) =>
+  /** Balanced 2-partition of `g` under weight vectors `ws` (d × n). */
+  def bipartition(g: LocalGraph, ws: Array[Array[Double]], cfg: GDConfig): GDResult =
+    solve(g, ws, cfg, i => i)((b, side, iterations) =>
       GDResult(b.x, side, b.locality(side), b.imbalances(side), b.traceRows.toSeq, iterations))
 
-  /** The sides of [[bipartition]], without scoring them. */
+  /** The sides of [[bipartition]], without scoring them, with the draws
+    * of vertex `i` by `id(i)`: its id in the graph that `g` was induced from.
+    */
   private[core] def sides(g: LocalGraph, ws: Array[Array[Double]], cfg: GDConfig, id: Int => Long): Array[Int] =
     solve(g, ws, cfg, id)((_, side, _) => side)
 

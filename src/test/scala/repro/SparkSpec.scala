@@ -14,6 +14,13 @@ import org.scalatest.funsuite.AnyFunSuite
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
+  /** `body` with `m` blocks instead of the suite's shuffle partitions. */
+  def withBlocks[T](m: Int)(body: => T): T = {
+    val partitions = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", m.toString)
+    try body finally spark.conf.set("spark.sql.shuffle.partitions", partitions)
+  }
+
   override def afterAll(): Unit = { super.afterAll() }
 }
 

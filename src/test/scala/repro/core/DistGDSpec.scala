@@ -24,13 +24,6 @@ class DistGDSpec extends SparkSpec {
 
   private val cfg = GDConfig(eps = 0.05, iterations = 30, seed = 5)
 
-  /** `body` with `m` blocks instead of the suite's shuffle partitions. */
-  private def withBlocks[T](m: Int)(body: => T): T = {
-    val partitions = spark.conf.get("spark.sql.shuffle.partitions")
-    spark.conf.set("spark.sql.shuffle.partitions", m.toString)
-    try body finally spark.conf.set("spark.sql.shuffle.partitions", partitions)
-  }
-
   test("planted bisection: balanced and far better than hash") {
     val g = TestGraphs.plantedBisection(150, 0.12, 0.01, seed = 41)
     val edges = TestGraphs.toDF(spark, g).persist()
@@ -90,6 +83,35 @@ class DistGDSpec extends SparkSpec {
       edges.unpersist()
     }
   }
+
+  // Two 20-cliques joined by one edge: every vertex is fixed within a few
+  // of the 30 iterations, so the loop ends early and nothing is left for
+  // the final projection to move.
+  for (d <- Seq(1, 2); seed <- 1 to 3)
+    test(s"every vertex fixed before the budget: both executors stop together, no shift (d=$d, seed $seed)") {
+      val g = TestGraphs.twoCliquesBridge(20)
+      val specs = Weights.All.take(d)
+      val ws = Weights.localAll(g, specs)
+      val c = cfg.copy(seed = seed)
+      var shifts = 0
+      val b = new LocalGD.Chunked(g, ws, c)
+      val counted = new GDKernel.Blocks {
+        def stepStats(noise: Double): Array[Double] = b.stepStats(noise)
+        def step(gamma: Double, alpha: Array[Double]): Unit = b.step(gamma, alpha)
+        def slabStats(): Array[Double] = b.slabStats()
+        def shift(alpha: Array[Double]): Unit = { shifts += 1; b.shift(alpha) }
+      }
+      val iterations = try GDKernel.run(counted, g.n, b.W, c) finally b.close()
+      assert(iterations < c.iterations && b.rows.forall(_.n == 0) && shifts == 0)
+
+      val local = LocalGD.bipartition(g, ws, c)
+      val edges = TestGraphs.toDF(spark, g).persist()
+      val dist = withBlocks(4)(DistGD.bipartition(spark, edges, specs, c))
+      val parts = dist.assign.collect().map(r => r.getLong(0).toInt -> r.getInt(1)).toMap
+      assert(local.iterations == iterations && dist.iterations == iterations)
+      assert((0 until g.n).forall(i => parts(i) == local.side(i)))
+      edges.unpersist()
+    }
 
   // The k-way recursions are one: full-graph weights, the same child seeds
   // and draws keyed by the vertex's id, so every split takes the same steps.

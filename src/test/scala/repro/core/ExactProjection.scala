@@ -8,7 +8,7 @@ object ExactProjection {
 
   /** The projection of `y`. */
   def apply(y: Array[Double], ws: Array[Array[Double]], los: Array[Double], his: Array[Double]): Array[Double] =
-    at(y, ws, GDKernel.exactCoefficients(ws, new Array[Boolean](y.length), y, new Array[Double](y.length), 0.0, los, his)._1)
+    at(y, ws, GDKernel.exactCoefficients(ws, Array.range(0, y.length), y, new Array[Double](y.length), 0.0, los, his)._1)
 
   /** `clip(y − Σ_j λ_j·w_j)`. */
   def at(y: Array[Double], ws: Array[Array[Double]], lambda: Array[Double]): Array[Double] =

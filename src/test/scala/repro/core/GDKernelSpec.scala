@@ -19,7 +19,7 @@ class GDKernelSpec extends AnyFunSuite {
   private class Stub(free: Int, pass: (GDKernel.Rows, Array[Double], Array[Double]) => Array[Double],
                      detect: Boolean = true) extends GDKernel.Blocks {
     val xs = ArrayBuffer(Array.fill(10)(1.0))
-    private val rows = GDKernel.rows(unit, xs.last, Array.tabulate(10)(_ >= free), 0, 10)
+    private val rows = GDKernel.rows(unit, xs.last, 0, 10)(_ >= free)
     def shifts: Int = xs.length - 1
     def stepStats(noise: Double): Array[Double] = ???
     def step(gamma: Double, alpha: Array[Double]): Unit = ???
@@ -79,7 +79,7 @@ class GDKernelSpec extends AnyFunSuite {
     val w = Array(Array.fill(5)(1.0))
     val fixed = Array(false, true, false, false, true)
     val x = Array(0.0, 1.0, 0.5, -1.0, 1.0)
-    val r = GDKernel.rows(w, x, fixed, 0, 5)
+    val r = GDKernel.rows(w, x, 0, 5)(fixed(_))
     val counts = Seq(0.25, -0.25, 0.25, 0.25, 0.0, -0.5).map { alpha =>
       GDKernel.shift(w, x, r, Array(alpha))
       r.last
@@ -94,7 +94,7 @@ class GDKernelSpec extends AnyFunSuite {
     * [[GDKernel.Rows]] and [[GDKernel.shift]].
     */
   private class OneRange(val x: Array[Double], fixed: Array[Boolean]) extends GDKernel.Blocks {
-    private val rows = GDKernel.rows(unit, x, fixed, 0, x.length)
+    private val rows = GDKernel.rows(unit, x, 0, x.length)(fixed(_))
     var shifts = 0
     def stepStats(noise: Double): Array[Double] = ???
     def step(gamma: Double, alpha: Array[Double]): Unit = ???
@@ -117,11 +117,13 @@ class GDKernelSpec extends AnyFunSuite {
     val w = Array(Array.tabulate(6)(i => 1.0 + i))
     val x = Array(0.0, 0.5, -1.0, 0.9, -0.2, 1.0)
     val fixed = Array.tabulate(6)(_ == 5)
-    val r = GDKernel.rows(w, x, fixed, 0, 6)
+    val r = GDKernel.rows(w, x, 0, 6)(fixed(_))
     GDKernel.shift(w, x, r, Array(0.1))
     val (last, back, free, n) = (r.last, bits(r.back), r.free.toSeq, r.n)
-    def unchanged(): Unit =
+    def unchanged(): Unit = {
       assert(r.last == last && bits(r.back) == back && r.free.toSeq == free && r.n == n)
+      assert(r.fixed.sameElements(fixed))
+    }
 
     val shifted = r.copy()
     GDKernel.shift(w, x.clone(), shifted, Array(-10.0))
@@ -130,8 +132,8 @@ class GDKernelSpec extends AnyFunSuite {
     // x is about (−0.1, 0.3, −1, 0.5, −0.7, 1): a step of 0.5 along a unit
     // gradient fixes row 3 at 1.
     val stepped = r.copy()
-    GDKernel.step(w, x.clone(), fixed.clone(), stepped, x, Array.fill(6)(1.0), 0.5, Array(0.0), 0.99)
-    assert(stepped.n == n - 1 && stepped.last != last)
+    GDKernel.step(w, x.clone(), stepped, x, Array.fill(6)(1.0), 0.5, Array(0.0), 0.99)
+    assert(stepped.n == n - 1 && stepped.last != last && stepped.fixed(3))
     unchanged()
   }
 
@@ -180,7 +182,8 @@ class GDKernelSpec extends AnyFunSuite {
         val (z, grad) = (spread(), spread())
         val zero = new Array[Double](n)
         for ((lo, hi) <- ranges) {
-          val r = GDKernel.rows(w, x, fixed, lo, hi)
+          val r = GDKernel.rows(w, x, lo, hi)(fixed(_))
+          assert(r.fixed.toSeq == (lo until hi).map(fixed))
           assert(r.free.take(r.n).toSeq == (lo until hi).filter(!fixed(_)))
           r.last = 0.25
           assert(bits(GDKernel.stats(w, z, grad, r)) == bits(statsReference(w, x, fixed, z, grad, 0.25, lo, hi)))
@@ -199,10 +202,10 @@ class GDKernelSpec extends AnyFunSuite {
             fixed1(i) = math.abs(y) >= 0.95
             x1(i) = if (!fixed1(i)) y else if (y >= 0) 1.0 else -1.0
           }
-          val (x2, fixed2) = (x.clone(), fixed.clone())
-          GDKernel.step(w, x2, fixed2, r, z, grad, gamma, alpha, 0.95)
+          val x2 = x.clone()
+          GDKernel.step(w, x2, r, z, grad, gamma, alpha, 0.95)
           assert(doubleToRawLongBits(r.last) == doubleToRawLongBits(sq))
-          assert(bits(x2) == bits(x1) && fixed2.sameElements(fixed1))
+          assert(bits(x2) == bits(x1) && r.fixed.toSeq == (lo until hi).map(fixed1))
           assert(r.free.take(r.n).toSeq == (lo until hi).filter(!fixed1(_)))
           assert(bits(GDKernel.stats(w, z, grad, r)) == bits(statsReference(w, x1, fixed1, z, grad, sq, lo, hi)))
           r.last = 0.0

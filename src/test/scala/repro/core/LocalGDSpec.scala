@@ -167,6 +167,32 @@ class LocalGDSpec extends AnyFunSuite {
     assert(res.imbalances.max <= 0.15)
   }
 
+  private def bits(v: Array[Double]): Seq[Long] = v.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
+  private lazy val ljLite = GraphGen.liveJournalLiteLocal()
+
+  // A zero row adds nothing to any sum of another row, its plane
+  // coefficient is 0, its slab always holds and repair never picks it.
+  for ((name, graph) <- Seq[(String, () => repro.graphs.LocalGraph)](
+         "LJ-lite" -> (() => ljLite), "RMAT scale 10" -> (() => GraphGen.rmatLocal(10, 8, seed = 77)));
+       eps <- Seq(0.05, 0.01))
+    test(s"an all-zero weight row, first or last, changes no other output bit: $name, eps=$eps") {
+      val g = graph()
+      val ws = wsFor(g, Seq(Weights.Unit, Weights.Degree))
+      val zero = new Array[Double](g.n)
+      val cfg = GDConfig(eps = eps, seed = 5)
+      val base = LocalGD.bipartition(g, ws, cfg)
+      val parts = RecursivePartitioner.partition(g, ws, 4, cfg)
+      for ((where, withZero, at) <- Seq(("last", ws :+ zero, 2), ("first", zero +: ws, 0))) {
+        val r = LocalGD.bipartition(g, withZero, cfg)
+        assert(bits(r.x) == bits(base.x) && r.side.sameElements(base.side), where)
+        assert(r.iterations == base.iterations && bits(Array(r.locality)) == bits(Array(base.locality)), where)
+        assert(r.imbalances(at) == 0.0, where)
+        assert(bits(r.imbalances.patch(at, Nil, 1)) == bits(base.imbalances), where)
+        assert(RecursivePartitioner.partition(g, withZero, 4, cfg).sameElements(parts), where)
+      }
+    }
+
   /** The mat-vec as one sequential loop over the rows, in CSR order. */
   private def matvecReference(g: repro.graphs.LocalGraph, z: Array[Double]): Array[Double] =
     Array.tabulate(g.n) { u =>
@@ -272,7 +298,7 @@ class LocalGDSpec extends AnyFunSuite {
     def reference(x: Array[Double], fixed: Array[Boolean], z: Array[Double], sqs: Seq[Double]): Array[Double] = {
       val grad = matvecReference(g, z)
       ranges.zip(sqs).map { case ((lo, hi), sq) =>
-        val r = GDKernel.rows(ws, x, fixed, lo, hi)
+        val r = GDKernel.rows(ws, x, lo, hi)(fixed(_))
         r.last = sq
         GDKernel.stats(ws, z, grad, r)
       }
@@ -288,16 +314,18 @@ class LocalGDSpec extends AnyFunSuite {
     val (gamma, alpha) = (10.0, Array(0.0, 0.0))
     val grad0 = matvecReference(g, z0)
     val x1 = x0.clone()
-    val fixed1 = fixed0.clone()
-    val sqs = ranges.map { case (lo, hi) =>
-      val r = GDKernel.rows(ws, x1, fixed1, lo, hi)
-      GDKernel.step(ws, x1, fixed1, r, z0, grad0, gamma, alpha, GDKernel.fixAt(cfg))
-      r.last
+    val stepped = ranges.map { case (lo, hi) =>
+      val r = GDKernel.rows(ws, x1, lo, hi)(fixed0(_))
+      GDKernel.step(ws, x1, r, z0, grad0, gamma, alpha, GDKernel.fixAt(cfg))
+      r
     }
+    // The chunks' masks in chunk order are the flags of every vertex.
+    val fixed1 = stepped.flatMap(_.fixed).toArray
     b.step(gamma, alpha)
-    assert(b.x.sameElements(x1) && b.fixed.sameElements(fixed1))
+    assert(b.x.sameElements(x1) && b.rows.flatMap(_.fixed).sameElements(fixed1))
     assert(fixed1.contains(true) && fixed1.contains(false))
-    assert(b.stepStats(0.0).sameElements(reference(x1, fixed1, x1, sqs)))
+    assert(fixed1.indices.forall(i => !fixed1(i) || math.abs(x1(i)) == 1.0))
+    assert(b.stepStats(0.0).sameElements(reference(x1, fixed1, x1, stepped.map(_.last))))
   }
 
   test("after every GD step each chunk's free-row list is its non-fixed rows in increasing order") {
@@ -306,8 +334,10 @@ class LocalGDSpec extends AnyFunSuite {
     val b = new LocalGD.Chunked(rmat14, ws, cfg)
     var steps = 0
     def check(): Unit = for (c <- b.rows.indices) {
-      val r = b.rows(c)
-      assert(r.free.take(r.n).toSeq == (b.bounds(c) until b.bounds(c + 1)).filter(!b.fixed(_)), s"chunk $c, step $steps")
+      val (r, lo, hi) = (b.rows(c), b.bounds(c), b.bounds(c + 1))
+      assert(r.fixed.length == hi - lo, s"chunk $c, step $steps")
+      assert(r.free.take(r.n).toSeq == (lo until hi).filter(i => !r.fixed(i - lo)), s"chunk $c, step $steps")
+      assert((lo until hi).forall(i => !r.fixed(i - lo) || math.abs(b.x(i)) == 1.0), s"chunk $c, step $steps")
     }
     check()
     val checked = new GDKernel.Blocks {
@@ -317,6 +347,7 @@ class LocalGDSpec extends AnyFunSuite {
       def shift(alpha: Array[Double]): Unit = b.shift(alpha)
     }
     assert(GDKernel.run(checked, rmat14.n, b.W, cfg) == steps)
-    assert(steps > 1 && b.fixed.contains(true) && b.fixed.contains(false))
+    val fixed = b.rows.flatMap(_.fixed)
+    assert(steps > 1 && fixed.contains(true) && fixed.contains(false))
   }
 }

@@ -200,7 +200,7 @@ class ProjectionsSpec extends AnyFunSuite {
     val y = Array.fill(30)(rng.nextDouble() * 4 - 2)
     val w = Array.fill(30)(0.2 + rng.nextDouble())
     val ws = Array(w, w)
-    val (lambda, passes) = GDKernel.exactCoefficients(ws, new Array[Boolean](30), y, new Array[Double](30), 0.0,
+    val (lambda, passes) = GDKernel.exactCoefficients(ws, Array.range(0, 30), y, new Array[Double](30), 0.0,
       Array(-0.3 * w.sum, 0.1 * w.sum), Array(-0.1 * w.sum, 0.3 * w.sum), maxPasses = 40)
     assert(passes <= 40)
     assert(inBox(ExactProjection.at(y, ws, lambda), 0.0))

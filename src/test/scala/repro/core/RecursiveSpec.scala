@@ -60,7 +60,7 @@ class RecursiveSpec extends AnyFunSuite {
     assert(a.toSeq == b.toSeq)
   }
 
-  /** The recursion done sequentially: the same `LocalGD.bipartition` and
+  /** The recursion done sequentially: the same `LocalGD.sides` and
     * `inducedSubgraph` calls with the same seeds and the same draws (keyed
     * by the vertex's id in `g`), first half before second.
     */
@@ -70,7 +70,7 @@ class RecursiveSpec extends AnyFunSuite {
                 parts: Int, base: Int, seed: Long): Unit =
       if (parts == 1 || sub.n == 0) toOriginal.foreach(v => assign(v) = base)
       else {
-        val side = LocalGD.bipartition(sub, wsSub, cfg.copy(seed = seed), i => toOriginal(i)).side
+        val side = LocalGD.sides(sub, wsSub, cfg.copy(seed = seed), i => toOriginal(i))
         for (s <- 0 to 1) {
           val (gs, m) = sub.inducedSubgraph(side.map(_ == s))
           recurse(gs, m.map(toOriginal), wsSub.map(w => m.map(w)), parts / 2, base + s * parts / 2, seed * 31 + 1 + s)
