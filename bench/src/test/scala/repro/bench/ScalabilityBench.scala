@@ -10,9 +10,9 @@ import repro.exp.Experiments
   */
 class ScalabilityBench extends SparkSpec {
 
-  // DistGD runs one Spark job per iteration, but on local[*] the fixed cost
-  // of a job (two stages of one task per core each, whatever the number of
-  // logical blocks) still outweighs the per-edge work below ~1M edges, so
+  // DistGD runs one Spark stage per iteration, but on local[*] the fixed cost
+  // of a stage (one task per core, whatever the number of logical blocks)
+  // still outweighs the per-edge work below ~1M edges, so
   // wall-clock is flat at the small end and starts tracking |E| at the top;
   // the testable claim at this scale is sub-quadratic growth.
   private lazy val rows = Experiments.scalability(spark, Seq(13, 14, 15, 16, 17), iterations = 20)

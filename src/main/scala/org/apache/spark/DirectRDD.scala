@@ -1,6 +1,6 @@
 package org.apache.spark
 
-import org.apache.spark.rdd.{MapPartitionsRDD, RDD, ZippedPartitionsRDD2, ZippedPartitionsRDD3}
+import org.apache.spark.rdd.{MapPartitionsRDD, RDD, ShuffledRDD, ZippedPartitionsRDD2, ZippedPartitionsRDD3}
 import scala.reflect.ClassTag
 
 /** RDD operations for a loop that submits a job every few milliseconds,
@@ -28,6 +28,16 @@ object DirectRDD {
       sc.getCallSite(), (p: Int, a: Array[T]) => out(p) = a, sc.localProperties.get)
     rdd.doCheckpoint()
     Array.concat(out.toIndexedSeq: _*)
+  }
+
+  /** Computes the map output of `shuffled` now, in a job of its own whose last stage writes it
+    * (`SparkContext.submitMapStage`), then calls `doCheckpoint` on what the stage computed, as
+    * [[collect]] does. A later job that reads `shuffled` skips that stage.
+    */
+  def runMapStage(shuffled: ShuffledRDD[_, _, _]): Unit = {
+    val dep = shuffled.dependencies.head.asInstanceOf[ShuffleDependency[_, _, _]]
+    shuffled.sparkContext.submitMapStage(dep).get()
+    dep.rdd.doCheckpoint()
   }
 
   /** Drops `rdd`'s cached blocks as `RDD.unpersist` does, without its warning for a locally

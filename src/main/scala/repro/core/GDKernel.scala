@@ -10,15 +10,16 @@ import repro.SplitMix.{gaussian, mix, uniform}
   * The driver ([[run]]) sees the vertices only through [[Blocks]].
   * [[LocalGD]] holds them as one block of arrays, [[DistGD]] as an RDD of
   * blocks; both apply the per-block operations below, each to the [[Rows]]
-  * of a row range of a block's arrays (a `LocalGD` chunk of rows, or a
-  * whole `DistGD` block), so they take the same steps and draws, up to the
-  * order in which the ranges' sums are added. A range's [[Rows]] is the one
-  * record of its fixed set and of its GD bookkeeping, so the executors hold
-  * only `x`. The operations visit the free rows of a range only, from its
-  * list of them; the sums that change only with the fixed set (the Gram
-  * entries and `F`) are kept with the list and summed again only for a
-  * range whose fixed set changed. Every sum adds the same terms in the same
-  * row order as a loop over the whole range that skips the fixed rows.
+  * of a row range of a block's arrays (a `LocalGD` chunk of rows, or the
+  * own rows of a `DistGD` block), so they take the same steps and draws, up
+  * to the order in which the ranges' sums are added. A range's [[Rows]] is
+  * the one record of its fixed set and of its GD bookkeeping, so the
+  * executors hold only `x`. The operations visit the free rows of a range
+  * only, from its list of them; the sums that change only with the fixed
+  * set (the Gram entries and `F`) are kept with the list and summed again
+  * only for a range whose fixed set changed. Every sum adds the same terms
+  * in the same row order as a loop over the whole range that skips the
+  * fixed rows.
   *
   * The one-shot projection is solved in closed form: projecting
   * `y = z + γ·grad` onto the planes `⟨w_j, y⟩ = −F_j` one after another
@@ -71,9 +72,9 @@ object GDKernel {
 
   // ---- Per-block operations ----
 
-  /** The rows `[lo, hi)` of a block (a `LocalGD` chunk, or a whole `DistGD`
-    * block) as the operations below see them, with the range's one record
-    * of its fixed set and its GD bookkeeping:
+  /** The rows `[lo, hi)` of a block (a `LocalGD` chunk, or the own or the
+    * ghost rows of a `DistGD` block) as the operations below see them, with
+    * the range's one record of its fixed set and its GD bookkeeping:
     *  - `fixed(i − lo)`: whether row `i` is fixed;
     *  - `free(0 until n)`: the other rows, increasing;
     *  - `fixedSums`: the statistics that change only with the free set, the
@@ -83,9 +84,9 @@ object GDKernel {
     *    `back`;
     *  - `back`: made by the first [[shift]], the free rows' `x` in list
     *    order that the next shift compares against.
-    * Only [[step]] fixes rows: it marks them in `fixed`, drops them from
-    * `free` in place and sums `fixedSums` again into a new array, so a
-    * [[copy]] may share that.
+    * Only [[step]] and [[move]] fix rows: they mark them in `fixed` and
+    * drop them from `free` in place, and [[step]] sums `fixedSums` again
+    * into a new array, so a [[copy]] may share that.
     */
   final class Rows(val lo: Int, val hi: Int, val fixed: Array[Boolean], val free: Array[Int], var n: Int,
                    var fixedSums: Array[Double], var last: Double = 0.0,
@@ -203,6 +204,18 @@ object GDKernel {
     */
   def step(w: Array[Array[Double]], x: Array[Double], r: Rows, z: Array[Double], grad: Array[Double],
            gamma: Double, alpha: Array[Double], fixAt: Double): Unit = {
+    val n = r.n
+    r.last = move(w, x, r, z, grad, gamma, alpha, fixAt)
+    if (r.n < n) r.fixedSums = fixedSums(w, x, r)
+  }
+
+  /** The rows' part of [[step]]: moves and fixes the free rows of `r` as
+    * [[step]] does and returns the squared step length, but leaves the sums
+    * of `r` as they were. `DistGD` replays its blocks' steps on their copies
+    * of other blocks' rows with it, which no sum reads.
+    */
+  def move(w: Array[Array[Double]], x: Array[Double], r: Rows, z: Array[Double], grad: Array[Double],
+           gamma: Double, alpha: Array[Double], fixAt: Double): Double = {
     val free = r.free
     var sq = 0.0
     var m = 0
@@ -219,8 +232,8 @@ object GDKernel {
       else { x(i) = y; free(m) = i; m += 1 }
       k += 1
     }
-    if (m < r.n) { r.n = m; r.fixedSums = fixedSums(w, x, r) }
-    r.last = sq
+    r.n = m
+    sq
   }
 
   /** The `α` for [[step]] that makes it the exact projection (paper §2.2,

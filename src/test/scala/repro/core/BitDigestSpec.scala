@@ -83,6 +83,25 @@ class BitDigestSpec extends SparkSpec {
     new Digest().ints(onRmat7(e => partsById(DistGD.partitionK(spark, e, Weights.All.take(2), 4, distCfg))))
   }
 
+  // A·z of Gaussian z: the gradient of every vertex, by id, then the sum of
+  // each block's gradient added in block order. These bits depend on the
+  // order of every add of the mat-vec and of the driver's sum.
+  for (m <- Seq(4, 64))
+    check(s"DistGD A·z and block sums of Gaussian z, rmat7, $m blocks") {
+      val edges = TestGraphs.toDF(spark, GraphGen.rmatLocal(7, 4, seed = 48)).persist()
+      try {
+        val groups = new DistGD.Groups(m, math.min(m, spark.sparkContext.defaultParallelism))
+        val blocks = DistGD.weighted(DistGD.buildBlocks(edges, groups), Seq(Weights.ofDegree(Weights.Unit)), groups).persist()
+        val z = (b: DistGD.Block, _: DistGD.Block) => b.ids.map(GDKernel.gauss(5, _))
+        val grad = DistGD.matvec(blocks, blocks, groups)(z)((b, _, g) => b.ids.zip(g)).collect().flatten.sortBy(_._1)
+        val sums = DistGD.sumUp(DistGD.matvec(blocks, blocks, groups)(z)((_, _, g) => Array(g.sum)))
+        blocks.unpersist()
+        val digest = new Digest().long(grad.length.toLong)
+        grad.foreach { case (id, g) => digest.long(id).double(g) }
+        digest.doubles(sums)
+      } finally edges.unpersist()
+    }
+
   // Taken before vertex fixing moved into `GDKernel.Rows`, a change that
   // kept every bit.
   private lazy val expected: Map[String, String] = Map(
@@ -128,5 +147,8 @@ class BitDigestSpec extends SparkSpec {
     "RecursivePartitioner k=8, planted, d=2" -> "375a5b61c0ccface",
     "DistGD.bipartition, rmat7, d=1, vertex fixing true" -> "5eb9e07c8eaa345e",
     "DistGD.bipartition, rmat7, d=2, vertex fixing false" -> "7d76682fd4827af6",
-    "DistGD.partitionK k=4, rmat7, d=2" -> "e2841136ee216bce")
+    "DistGD.partitionK k=4, rmat7, d=2" -> "e2841136ee216bce",
+    // Taken at the message-sum exchange, before each block kept ghost rows.
+    "DistGD A·z and block sums of Gaussian z, rmat7, 4 blocks" -> "ac34851a5e2a9d53",
+    "DistGD A·z and block sums of Gaussian z, rmat7, 64 blocks" -> "523ba1d9c5755d95")
 }

@@ -180,6 +180,34 @@ class DistGDSpec extends SparkSpec {
     edges.unpersist()
   }
 
+  // The stage that computes an iteration's gradients also replays the last
+  // step and returns the statistics, so the rest of a call costs the same
+  // stages at any budget.
+  test("each GD iteration is one Spark stage") {
+    val g = TestGraphs.plantedBisection(60, 0.2, 0.02, seed = 46)
+    val edges = TestGraphs.toDF(spark, g).persist()
+    val sc = spark.sparkContext
+    // Without vertex fixing every run uses its whole iteration budget.
+    def stages(iterations: Int): Int = {
+      val submitted = new AtomicInteger
+      val listener = new SparkListener {
+        override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit = submitted.incrementAndGet()
+      }
+      sc.addSparkListener(listener)
+      try {
+        val res = withBlocks(4)(DistGD.bipartition(spark, edges, Seq(Weights.Unit),
+          cfg.copy(iterations = iterations, vertexFixing = false)))
+        ListenerBusDrain(sc)
+        assert(res.iterations == iterations)
+        res.assign.unpersist()
+        submitted.get
+      } finally sc.removeSparkListener(listener)
+    }
+    val (stages10, stages20) = (stages(10), stages(20))
+    assert(stages20 - stages10 == 20 - 10, s"$stages10 stages for I = 10, $stages20 for I = 20")
+    edges.unpersist()
+  }
+
   // The blocks count every edge from both ends, so sᵀAs and the entry count
   // are exact integers and the locality is uncut/total to the last bit. It
   // holds for any assignment; five iterations keep 64 blocks cheap.
@@ -308,14 +336,15 @@ class DistGDSpec extends SparkSpec {
   }
 
   // The parts above hardly depend on the last bits of a sum. These sums of
-  // Gaussian terms do: A·z adds each vertex's batches in source-block order,
-  // and the driver adds the block vectors in block order.
+  // Gaussian terms do: A·z adds each vertex's neighbours one owner block at a
+  // time, in block order, and the driver adds the block vectors in block
+  // order.
   test("A·z and its block sums on 64 blocks are the same bit for bit on 1, 4 and 64 tasks") {
     val edges = TestGraphs.toDF(spark, GraphGen.rmatLocal(8, 4, seed = 42)).persist()
     val z = (b: DistGD.Block, _: DistGD.Block) => b.ids.map(GDKernel.gauss(5, _))
     val runs = Seq(1, 4, 64).map { tasks =>
       val groups = new DistGD.Groups(64, tasks)
-      val blocks = DistGD.buildBlocks(edges, Seq(Weights.ofDegree(Weights.Unit)), groups).persist()
+      val blocks = DistGD.weighted(DistGD.buildBlocks(edges, groups), Seq(Weights.ofDegree(Weights.Unit)), groups).persist()
       val grad = DistGD.matvec(blocks, blocks, groups)(z)((b, _, g) => b.ids.zip(g)).collect().flatten.toMap
       val sums = DistGD.sumUp(DistGD.matvec(blocks, blocks, groups)(z)((_, _, g) => Array(g.sum)))
       blocks.unpersist()
@@ -357,8 +386,9 @@ class DistGDSpec extends SparkSpec {
     edges.unpersist()
   }
 
-  // Each job's checkpoint cuts the lineage of what it computed, so the
-  // cached parts do not carry the iterations that led to them.
+  // Each stage's checkpoint cuts the lineage of what it computed, so the
+  // cached parts do not carry the iterations, or the shuffles of their
+  // gradients, that led to them.
   test("the parts a call leaves cached have the same lineage at I = 5 and I = 30") {
     val edges = TestGraphs.toDF(spark, GraphGen.rmatLocal(8, 4, seed = 42)).persist()
     edges.count()
